@@ -132,11 +132,11 @@ inline void print_phase_json(const std::string& program, const char* variant,
       static_cast<unsigned long long>(s.templates),
       static_cast<unsigned long long>(s.smt_checks),
       static_cast<unsigned long long>(s.smt_calls_skipped),
-      static_cast<unsigned long long>(s.pc_cache_hits),
-      static_cast<unsigned long long>(s.pc_cache_misses),
-      static_cast<unsigned long long>(s.pc_model_reuse),
-      static_cast<unsigned long long>(s.fast_path_skipped),
-      s.timed_out ? "true" : "false");
+      static_cast<unsigned long long>(s.engine.pc_cache_hits),
+      static_cast<unsigned long long>(s.engine.pc_cache_misses),
+      static_cast<unsigned long long>(s.engine.pc_model_reuse),
+      static_cast<unsigned long long>(s.engine.solver.fast_path_skipped),
+      s.engine.timed_out ? "true" : "false");
 }
 
 inline double now_seconds() {

@@ -36,9 +36,9 @@ void coverage_vs_budget() {
       }
       std::printf("%-10s %-12s %10llu %10llu %10llu %10llu %7.2fs\n", name,
                   budget, static_cast<unsigned long long>(s.templates),
-                  static_cast<unsigned long long>(s.exact_paths),
-                  static_cast<unsigned long long>(s.degraded_paths),
-                  static_cast<unsigned long long>(s.smt_unknowns),
+                  static_cast<unsigned long long>(s.engine.valid_paths),
+                  static_cast<unsigned long long>(s.engine.degraded_paths),
+                  static_cast<unsigned long long>(s.engine.solver.unknowns),
                   timer.elapsed());
     }
   }

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     char mcol[32];
     std::snprintf(mcol, sizeof mcol, "%.2fs", meissa_s);
     std::printf("%-10s | %-12s %-9zu | %-16s %-16s %-16s\n", name.c_str(),
-                meissa.stats().timed_out ? "o (timeout)" : mcol,
+                meissa.stats().engine.timed_out ? "o (timeout)" : mcol,
                 templates.size(), bench::outcome(aq).c_str(),
                 bench::outcome(pg).c_str(), bench::outcome(gl).c_str());
     bench::print_phase_json(name, "meissa", threads, meissa.stats());

@@ -176,21 +176,16 @@ class PipelineValidator {
   void compute_precondition() {
     summary::PreCondition pc;
     if (opts_.summary.precondition_filtering) {
-      if (opts_.summary.precondition_mode ==
-          summary::SummaryOptions::PreconditionMode::kDataflow) {
-        pc = summary::compute_precondition(ctx_, summ_, info_.entry);
-      } else {
-        // The region reaching this entry consists of earlier-wave pipelines
-        // only (instance_deps orders the waves), so the final summarized
-        // graph shows exactly what the summarizer's own enumeration saw.
-        std::optional<summary::PreCondition> exact =
-            summary::compute_precondition_by_enumeration(
-                ctx_, summ_, info_.entry, opts_.summary.max_precondition_paths,
-                &pv_.smt_checks, "pre." + info_.name,
-                opts_.summary.static_pruning, nullptr);
-        pc = exact ? std::move(*exact)
-                   : summary::compute_precondition(ctx_, summ_, info_.entry);
-      }
+      // The region reaching this entry consists of earlier-wave pipelines
+      // only (instance_deps orders the waves), so the final summarized
+      // graph shows exactly what the summarizer's own enumeration saw.
+      std::optional<summary::PreCondition> exact =
+          summary::compute_precondition_by_enumeration(
+              ctx_, summ_, info_.entry, opts_.summary.max_precondition_paths,
+              &pv_.smt_checks, "pre." + info_.name,
+              opts_.summary.static_pruning, nullptr);
+      pc = exact ? std::move(*exact)
+                 : summary::compute_precondition(ctx_, summ_, info_.entry);
     }
 
     auto by_name = [&](ir::FieldId a, ir::FieldId b) {

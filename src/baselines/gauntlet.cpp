@@ -32,7 +32,7 @@ BaselineResult run_gauntlet(ir::Context& ctx, const p4::DataPlane& dp,
   std::vector<sym::TestCaseTemplate> templates = generator.generate();
   r.templates = templates.size();
   r.smt_checks = generator.stats().smt_checks;
-  r.timed_out = generator.stats().timed_out;
+  r.timed_out = generator.stats().engine.timed_out;
   // Static findings (invalid-header reads) count as detections.
   r.failures += generator.stats().diagnostics;
 

@@ -75,6 +75,16 @@ struct ByteReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  // An element count. Every element takes at least one byte, so a count
+  // beyond the remaining bytes is corrupt: rejected here, before any
+  // allocation sized by it.
+  uint64_t count() {
+    uint64_t n = u64();
+    if (n > uint64_t(end - p)) {
+      throw util::ValidationError("checkpoint: count exceeds payload");
+    }
+    return n;
+  }
   std::string str() {
     uint64_t n = u64();
     need(n);
@@ -167,68 +177,21 @@ ir::ExprRef get_expr(ByteReader& r, ir::Context& ctx) {
 
 // --- engine structures ----------------------------------------------------
 
-void put_solver_stats(ByteWriter& w, const smt::SolverStats& s) {
-  w.u64(s.checks);
-  w.u64(s.fast_path_hits);
-  w.u64(s.sat_calls);
-  w.u64(s.fast_path_skipped);
-  w.u64(s.unknowns);
-  w.u64(s.pushes);
-  w.u64(s.pops);
+// Stats structs by their member lists (util/stats.hpp), in list order:
+// counters as u64, flags as u8, nested stats recursively.
+void put_stats(ByteWriter& w, uint64_t v) { w.u64(v); }
+void put_stats(ByteWriter& w, bool v) { w.u8(v ? 1 : 0); }
+template <class Stats>
+void put_stats(ByteWriter& w, const Stats& s) {
+  Stats::for_each_field(
+      [&](const char*, const auto& v) { put_stats(w, v); }, s);
 }
 
-smt::SolverStats get_solver_stats(ByteReader& r) {
-  smt::SolverStats s;
-  s.checks = r.u64();
-  s.fast_path_hits = r.u64();
-  s.sat_calls = r.u64();
-  s.fast_path_skipped = r.u64();
-  s.unknowns = r.u64();
-  s.pushes = r.u64();
-  s.pops = r.u64();
-  return s;
-}
-
-void put_engine_stats(ByteWriter& w, const sym::EngineStats& s) {
-  w.u64(s.valid_paths);
-  w.u64(s.pruned_paths);
-  w.u64(s.folded_checks);
-  w.u64(s.nodes_visited);
-  w.u64(s.offtarget_paths);
-  w.u64(s.static_prunes);
-  w.u64(s.skipped_checks);
-  w.u64(s.degraded_paths);
-  w.u8(s.timed_out ? 1 : 0);
-  w.u8(s.cancelled ? 1 : 0);
-  w.u64(s.requeued_shards);
-  w.u64(s.degraded_shards);
-  w.u64(s.resumed_shards);
-  w.u64(s.pc_cache_hits);
-  w.u64(s.pc_cache_misses);
-  w.u64(s.pc_model_reuse);
-  put_solver_stats(w, s.solver);
-}
-
-sym::EngineStats get_engine_stats(ByteReader& r) {
-  sym::EngineStats s;
-  s.valid_paths = r.u64();
-  s.pruned_paths = r.u64();
-  s.folded_checks = r.u64();
-  s.nodes_visited = r.u64();
-  s.offtarget_paths = r.u64();
-  s.static_prunes = r.u64();
-  s.skipped_checks = r.u64();
-  s.degraded_paths = r.u64();
-  s.timed_out = r.u8() != 0;
-  s.cancelled = r.u8() != 0;
-  s.requeued_shards = r.u64();
-  s.degraded_shards = r.u64();
-  s.resumed_shards = r.u64();
-  s.pc_cache_hits = r.u64();
-  s.pc_cache_misses = r.u64();
-  s.pc_model_reuse = r.u64();
-  s.solver = get_solver_stats(r);
-  return s;
+void get_stats(ByteReader& r, uint64_t& v) { v = r.u64(); }
+void get_stats(ByteReader& r, bool& v) { v = r.u8() != 0; }
+template <class Stats>
+void get_stats(ByteReader& r, Stats& s) {
+  Stats::for_each_field([&](const char*, auto& v) { get_stats(r, v); }, s);
 }
 
 void put_path_result(ByteWriter& w, const ir::Context& ctx,
@@ -267,26 +230,26 @@ void put_path_result(ByteWriter& w, const ir::Context& ctx,
 
 sym::PathResult get_path_result(ByteReader& r, ir::Context& ctx) {
   sym::PathResult pr;
-  pr.path.resize(r.u64());
+  pr.path.resize(r.count());
   for (cfg::NodeId& n : pr.path) n = r.u32();
-  pr.conds.resize(r.u64());
+  pr.conds.resize(r.count());
   for (ir::ExprRef& c : pr.conds) c = get_expr(r, ctx);
-  uint64_t nvals = r.u64();
+  uint64_t nvals = r.count();
   for (uint64_t i = 0; i < nvals; ++i) {
     std::string name = r.str();
     int width = r.i32();
     ir::FieldId f = ctx.fields.intern(name, width);
     pr.values[f] = get_expr(r, ctx);
   }
-  pr.obligations.resize(r.u64());
+  pr.obligations.resize(r.count());
   for (sym::HashObligation& o : pr.obligations) {
     std::string name = r.str();
     int width = r.i32();
     o.placeholder = ctx.fields.intern(name, width);
     o.algo = static_cast<p4::HashAlgo>(r.u8());
-    o.key_exprs.resize(r.u64());
+    o.key_exprs.resize(r.count());
     for (ir::ExprRef& k : o.key_exprs) k = get_expr(r, ctx);
-    o.key_widths.resize(r.u64());
+    o.key_widths.resize(r.count());
     for (int& kw : o.key_widths) kw = r.i32();
   }
   pr.exit = static_cast<cfg::ExitKind>(r.u8());
@@ -302,18 +265,18 @@ void put_shard(ByteWriter& w, const ir::Context& ctx,
   w.u64(s.frontier.size());
   for (cfg::NodeId n : s.frontier) w.u32(n);
   w.u64(s.fresh_counter);
-  put_engine_stats(w, s.stats);
+  put_stats(w, s.stats);
 }
 
 sym::ShardProgress get_shard(ByteReader& r, ir::Context& ctx) {
   sym::ShardProgress s;
   s.done = r.u8() != 0;
-  s.results.resize(r.u64());
+  s.results.resize(r.count());
   for (sym::PathResult& pr : s.results) pr = get_path_result(r, ctx);
-  s.frontier.resize(r.u64());
+  s.frontier.resize(r.count());
   for (cfg::NodeId& n : s.frontier) n = r.u32();
   s.fresh_counter = r.u64();
-  s.stats = get_engine_stats(r);
+  get_stats(r, s.stats);
   return s;
 }
 
@@ -341,9 +304,9 @@ summary::SummaryUnit get_unit(ByteReader& r, ir::Context& ctx) {
   u.smt_checks = r.u64();
   u.smt_skipped = r.u64();
   u.seconds = r.f64();
-  u.internal.resize(r.u64());
+  u.internal.resize(r.count());
   for (sym::PathResult& pr : u.internal) pr = get_path_result(r, ctx);
-  u.seed_snaps.resize(r.u64());
+  u.seed_snaps.resize(r.count());
   for (summary::SummaryUnit::SeedSnap& s : u.seed_snaps) {
     s.at = r.str();
     s.orig = r.str();
@@ -438,19 +401,19 @@ CheckpointData deserialize_checkpoint(ir::Context& ctx,
   CheckpointData data;
   data.graph_fp = r.u64();
   data.glue_fp = r.u64();
-  uint64_t nfps = r.u64();
+  uint64_t nfps = r.count();
   for (uint64_t i = 0; i < nfps; ++i) {
     std::string name = r.str();
     uint64_t fp = r.u64();
     data.region_fps.emplace(std::move(name), fp);
   }
-  uint64_t nunits = r.u64();
+  uint64_t nunits = r.count();
   for (uint64_t i = 0; i < nunits; ++i) {
     summary::SummaryUnit u = get_unit(r, ctx);
     std::string name = u.instance;
     data.units.emplace(std::move(name), std::move(u));
   }
-  data.shards.resize(r.u64());
+  data.shards.resize(r.count());
   for (sym::ShardProgress& s : data.shards) s = get_shard(r, ctx);
   util::check(r.p == r.end, "checkpoint: trailing bytes in payload");
   return data;
@@ -520,7 +483,6 @@ uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
   h = key_u64(h, opts.smt_budget.max_propagations);
   h = key_u64(h, opts.smt_budget.max_wall_ms);
   h = key_u64(h, opts.summary.precondition_filtering ? 1 : 0);
-  h = key_u64(h, static_cast<uint64_t>(opts.summary.precondition_mode));
   h = key_u64(h, opts.summary.max_precondition_paths);
   h = key_u64(h, opts.assumes.size());
   for (ir::ExprRef a : opts.assumes) {

@@ -99,7 +99,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
       obs::Span vspan("validate summary", "gen");
       analysis::ValidateOptions vo;
       vo.use_z3 = opts_.use_z3;
-      vo.budget = opts_.validate_budget;
       vo.summary = so;
       validation_ = analysis::validate_summary(ctx_, original_,
                                                summarized_->graph, vo);
@@ -148,7 +147,8 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   auto t0 = std::chrono::steady_clock::now();
   obs::Span dfs_span("dfs", "gen");
   std::vector<sym::TestCaseTemplate> templates;
-  const bool diagnose = opts_.detect_invalid_reads && !opts_.code_summary;
+  // Invalid-header-read diagnostics are exact only on unsummarized graphs.
+  const bool diagnose = !opts_.code_summary;
 
   // Supervision / checkpointing hooks for the sharded DFS. The supervisor
   // is per-run (its watchdog joins before run_parallel returns its merge).
@@ -184,18 +184,10 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
                       const sym::TestCaseTemplate& b) { return a.id < b.id; });
   stats_.dfs_seconds = secs_since(t0);
   stats_.engine = engine_->stats();
-  stats_.timed_out = engine_->stats().timed_out;
-  stats_.cancelled = engine_->stats().cancelled;
-  stats_.exact_paths = engine_->stats().valid_paths;
-  stats_.degraded_paths = engine_->stats().degraded_paths;
-  stats_.smt_unknowns = engine_->stats().solver.unknowns;
-  stats_.pc_cache_hits = engine_->stats().pc_cache_hits;
-  stats_.pc_cache_misses = engine_->stats().pc_cache_misses;
-  stats_.pc_model_reuse = engine_->stats().pc_model_reuse;
-  stats_.fast_path_skipped = engine_->stats().solver.fast_path_skipped;
-  stats_.smt_checks += engine_->stats().solver.checks;
+  stats_.cancelled = stats_.engine.cancelled;
+  stats_.smt_checks += stats_.engine.solver.checks;
   stats_.smt_calls_skipped +=
-      engine_->stats().static_prunes + engine_->stats().skipped_checks;
+      stats_.engine.static_prunes + stats_.engine.skipped_checks;
   stats_.templates = templates.size();
   if (ckpt != nullptr) {
     stats_.checkpoint_writes = ckpt->writes();
@@ -211,8 +203,12 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
     obs::metrics()
         .counter("gen.smt_calls_skipped")
         .add(stats_.smt_calls_skipped);
-    obs::metrics().counter("gen.pc_cache_hits").add(stats_.pc_cache_hits);
-    obs::metrics().counter("gen.pc_cache_misses").add(stats_.pc_cache_misses);
+    obs::metrics()
+        .counter("gen.pc_cache_hits")
+        .add(stats_.engine.pc_cache_hits);
+    obs::metrics()
+        .counter("gen.pc_cache_misses")
+        .add(stats_.engine.pc_cache_misses);
     if (ckpt != nullptr) {
       obs::metrics().counter("checkpoint.writes").add(stats_.checkpoint_writes);
       obs::metrics()

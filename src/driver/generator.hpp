@@ -30,9 +30,6 @@ struct GenOptions {
   // final DFS). Solver-equivalent: the emitted templates are identical
   // with this on or off; only the SMT-call count changes.
   bool static_pruning = true;
-  // Flag reads of invalid-header fields as diagnostics on each template
-  // (exact only on unsummarized graphs; disabled automatically otherwise).
-  bool detect_invalid_reads = true;
   uint64_t max_templates = 0;  // 0 = unlimited
   double time_budget_seconds = 0;  // 0 = unlimited (final DFS budget)
   // Worker threads for the summary pass and the final DFS (0 = hardware
@@ -53,8 +50,6 @@ struct GenOptions {
   // do not fail. Off by default: validation adds solver work and the
   // emitted templates are identical either way.
   bool validate_summary = false;
-  // Per-obligation solver budget for the validation pass.
-  smt::Budget validate_budget;
   // Solver-throughput layer for the final DFS (ROADMAP "solver
   // throughput"), both output-transparent — templates are byte-identical
   // on or off: the canonicalized path-condition verdict cache (auto-
@@ -91,90 +86,49 @@ struct GenOptions {
   util::FaultInjector* fault = nullptr;
 };
 
-struct GenStats {
-  bool timed_out = false;
-  // The GenOptions::cancel token fired and generation stopped early.
-  bool cancelled = false;
-  double build_seconds = 0;
-  double summary_seconds = 0;
-  double dfs_seconds = 0;
-  double total_seconds = 0;
-  uint64_t smt_checks = 0;  // summary + final DFS ("# of SMT calls")
-  // Solver calls avoided by static pruning (summary + final DFS): branches
-  // refuted and checks skipped without touching the solver.
-  uint64_t smt_calls_skipped = 0;
-  uint64_t templates = 0;
-  uint64_t diagnostics = 0;  // invalid-header-read findings
-  // Coverage split under solver budgets (final DFS): exact_paths are the
-  // emitted templates, degraded_paths the branches a budgeted check could
-  // not decide. exact + degraded = every branch the DFS tried to settle
-  // and did not prove infeasible. smt_unknowns counts the kUnknown checks.
-  uint64_t exact_paths = 0;
-  uint64_t degraded_paths = 0;
-  uint64_t smt_unknowns = 0;
-  // Solver-throughput layer (final DFS): checks answered by the path-
-  // condition cache vs. sent to a backend, sat verdicts confirmed by
-  // re-evaluating a shard's last model, and checks the adaptive portfolio
-  // routed straight to bit-blasting.
-  uint64_t pc_cache_hits = 0;
-  uint64_t pc_cache_misses = 0;
-  uint64_t pc_model_reuse = 0;
-  uint64_t fast_path_skipped = 0;
-  // Summary translation validation (GenOptions::validate_summary).
-  uint64_t validate_obligations = 0;
-  uint64_t validate_unsat = 0;
-  uint64_t validate_unproven = 0;
-  uint64_t validate_refuted = 0;
-  double validate_seconds = 0;
-  // Crash safety & supervision (GenOptions::checkpoint_dir / supervise):
-  // a valid checkpoint was loaded and this run resumed from it; pipelines
-  // whose explore phase the checkpoint skipped; checkpoint persists that
-  // succeeded / failed (failures never abort the run — it just keeps the
-  // previous file). Shard-level requeue/degrade/resume counts live in
-  // `engine` (EngineStats).
-  bool resumed = false;
-  uint64_t resumed_pipelines = 0;
-  uint64_t checkpoint_writes = 0;
-  uint64_t checkpoint_failures = 0;
-  util::BigCount paths_original;    // possible paths, original CFG
-  util::BigCount paths_summarized;  // possible paths after code summary
-  std::vector<summary::PipelineSummary> pipelines;
-  sym::EngineStats engine;
+// Every GenStats member, declared once (see util/stats.hpp). The final
+// DFS's own counters (coverage split, solver-cache traffic, timeout) live
+// in `engine` only.
+#define MEISSA_GEN_STATS(X)                                                 \
+  /* The GenOptions::cancel token fired and generation stopped early. */    \
+  X(bool, cancelled)                                                        \
+  X(double, build_seconds)                                                  \
+  X(double, summary_seconds)                                                \
+  X(double, dfs_seconds)                                                    \
+  X(double, total_seconds)                                                  \
+  X(uint64_t, smt_checks) /* summary + final DFS ("# of SMT calls") */      \
+  /* Solver calls avoided by static pruning (summary + final DFS):     */   \
+  /* branches refuted and checks skipped without touching the solver.  */   \
+  X(uint64_t, smt_calls_skipped)                                            \
+  X(uint64_t, templates)                                                    \
+  X(uint64_t, diagnostics) /* invalid-header-read findings */               \
+  /* Summary translation validation (GenOptions::validate_summary). */      \
+  X(uint64_t, validate_obligations)                                         \
+  X(uint64_t, validate_unsat)                                               \
+  X(uint64_t, validate_unproven)                                            \
+  X(uint64_t, validate_refuted)                                             \
+  X(double, validate_seconds)                                               \
+  /* Crash safety & supervision (GenOptions::checkpoint_dir /          */   \
+  /* supervise): a valid checkpoint was loaded and this run resumed    */   \
+  /* from it; pipelines whose explore phase the checkpoint skipped;    */   \
+  /* checkpoint persists that succeeded / failed (failures never abort */   \
+  /* the run — it just keeps the previous file). Shard-level           */   \
+  /* requeue/degrade/resume counts live in `engine`.                   */   \
+  X(bool, resumed)                                                          \
+  X(uint64_t, resumed_pipelines)                                            \
+  X(uint64_t, checkpoint_writes)                                            \
+  X(uint64_t, checkpoint_failures)                                          \
+  X(util::BigCount, paths_original)   /* possible paths, original CFG */    \
+  X(util::BigCount, paths_summarized) /* possible paths after summary */    \
+  X(std::vector<summary::PipelineSummary>, pipelines)                       \
+  /* Final DFS: exact coverage is engine.valid_paths, engine.degraded_ */   \
+  /* paths the branches a budgeted check could not decide, and         */   \
+  /* engine.solver.unknowns the kUnknown checks.                       */   \
+  X(sym::EngineStats, engine)
 
-  // Accumulate another run's stats (benchmark aggregation across apps).
-  GenStats& operator+=(const GenStats& o) {
-    timed_out = timed_out || o.timed_out;
-    cancelled = cancelled || o.cancelled;
-    build_seconds += o.build_seconds;
-    summary_seconds += o.summary_seconds;
-    dfs_seconds += o.dfs_seconds;
-    total_seconds += o.total_seconds;
-    smt_checks += o.smt_checks;
-    smt_calls_skipped += o.smt_calls_skipped;
-    templates += o.templates;
-    diagnostics += o.diagnostics;
-    exact_paths += o.exact_paths;
-    degraded_paths += o.degraded_paths;
-    smt_unknowns += o.smt_unknowns;
-    pc_cache_hits += o.pc_cache_hits;
-    pc_cache_misses += o.pc_cache_misses;
-    pc_model_reuse += o.pc_model_reuse;
-    fast_path_skipped += o.fast_path_skipped;
-    validate_obligations += o.validate_obligations;
-    validate_unsat += o.validate_unsat;
-    validate_unproven += o.validate_unproven;
-    validate_refuted += o.validate_refuted;
-    validate_seconds += o.validate_seconds;
-    resumed = resumed || o.resumed;
-    resumed_pipelines += o.resumed_pipelines;
-    checkpoint_writes += o.checkpoint_writes;
-    checkpoint_failures += o.checkpoint_failures;
-    paths_original += o.paths_original;
-    paths_summarized += o.paths_summarized;
-    pipelines.insert(pipelines.end(), o.pipelines.begin(), o.pipelines.end());
-    engine += o.engine;
-    return *this;
-  }
+struct GenStats {
+  // += accumulates another run's stats (benchmark aggregation across apps).
+  MEISSA_STATS_STRUCT(GenStats, MEISSA_GEN_STATS)
 };
 
 class Generator {

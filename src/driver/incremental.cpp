@@ -143,7 +143,7 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   report.smt_checks = report.stats.smt_checks >= replayed_checks
                           ? report.stats.smt_checks - replayed_checks
                           : 0;
-  report.pc_cache_hits = report.stats.pc_cache_hits;
+  report.pc_cache_hits = report.stats.engine.pc_cache_hits;
   report.seconds = report.stats.total_seconds;
 
   // Delta coverage: sorted-multiset diff of semantic signatures against

@@ -21,21 +21,22 @@ std::string TestReport::str() const {
     os << ", " << gen.smt_calls_skipped << " skipped by static analysis";
   }
   os << ")\n";
-  if (gen.pc_cache_hits > 0 || gen.pc_cache_misses > 0) {
-    os << "  solver cache: " << gen.pc_cache_hits << " hit(s), "
-       << gen.pc_cache_misses << " miss(es)";
-    if (gen.pc_model_reuse > 0) {
-      os << ", " << gen.pc_model_reuse << " model reuse(s)";
+  if (gen.engine.pc_cache_hits > 0 || gen.engine.pc_cache_misses > 0) {
+    os << "  solver cache: " << gen.engine.pc_cache_hits << " hit(s), "
+       << gen.engine.pc_cache_misses << " miss(es)";
+    if (gen.engine.pc_model_reuse > 0) {
+      os << ", " << gen.engine.pc_model_reuse << " model reuse(s)";
     }
-    if (gen.fast_path_skipped > 0) {
-      os << ", " << gen.fast_path_skipped << " fast-path skip(s) (portfolio)";
+    if (gen.engine.solver.fast_path_skipped > 0) {
+      os << ", " << gen.engine.solver.fast_path_skipped
+         << " fast-path skip(s) (portfolio)";
     }
     os << "\n";
   }
-  if (gen.degraded_paths > 0) {
-    os << "  coverage: " << gen.exact_paths << " exact + "
-       << gen.degraded_paths << " degraded path(s) (" << gen.smt_unknowns
-       << " budget-exhausted SMT check(s))\n";
+  if (gen.engine.degraded_paths > 0) {
+    os << "  coverage: " << gen.engine.valid_paths << " exact + "
+       << gen.engine.degraded_paths << " degraded path(s) ("
+       << gen.engine.solver.unknowns << " budget-exhausted SMT check(s))\n";
   }
   if (gen.engine.requeued_shards > 0 || gen.engine.degraded_shards > 0) {
     os << "  supervision: " << gen.engine.requeued_shards
@@ -91,13 +92,13 @@ std::string TestReport::to_json() const {
   os << ",\"failed\":" << failed;
   os << ",\"removed_by_hash\":" << removed_by_hash;
   os << ",\"hash_repair_attempts\":" << hash_repair_attempts;
-  os << ",\"exact_paths\":" << gen.exact_paths;
-  os << ",\"degraded_paths\":" << gen.degraded_paths;
-  os << ",\"smt_unknowns\":" << gen.smt_unknowns;
-  os << ",\"pc_cache_hits\":" << gen.pc_cache_hits;
-  os << ",\"pc_cache_misses\":" << gen.pc_cache_misses;
-  os << ",\"pc_model_reuse\":" << gen.pc_model_reuse;
-  os << ",\"fast_path_skipped\":" << gen.fast_path_skipped;
+  os << ",\"exact_paths\":" << gen.engine.valid_paths;
+  os << ",\"degraded_paths\":" << gen.engine.degraded_paths;
+  os << ",\"smt_unknowns\":" << gen.engine.solver.unknowns;
+  os << ",\"pc_cache_hits\":" << gen.engine.pc_cache_hits;
+  os << ",\"pc_cache_misses\":" << gen.engine.pc_cache_misses;
+  os << ",\"pc_model_reuse\":" << gen.engine.pc_model_reuse;
+  os << ",\"fast_path_skipped\":" << gen.engine.solver.fast_path_skipped;
   os << ",\"validate_obligations\":" << gen.validate_obligations;
   os << ",\"validate_unsat\":" << gen.validate_unsat;
   os << ",\"validate_unproven\":" << gen.validate_unproven;

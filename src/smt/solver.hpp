@@ -17,6 +17,7 @@
 #include <unordered_map>
 
 #include "ir/stmt.hpp"
+#include "util/stats.hpp"
 
 namespace meissa::smt {
 
@@ -62,51 +63,39 @@ struct Budget {
 // Fields never mentioned in any assertion are unconstrained and absent.
 using Model = std::unordered_map<ir::FieldId, uint64_t>;
 
-struct SolverStats {
-  // check() invocations — the paper's "# of SMT calls" (Fig. 11b/12b).
-  uint64_t checks = 0;
-  // checks decided by the single-field domain fast path.
-  uint64_t fast_path_hits = 0;
-  // checks that reached the SAT core (or Z3).
-  uint64_t sat_calls = 0;
-  // checks where the adaptive portfolio went straight to the SAT core
-  // because the fast path kept losing in this CFG region (BvSolver only).
-  uint64_t fast_path_skipped = 0;
-  // checks that exhausted their Budget and returned kUnknown.
-  uint64_t unknowns = 0;
-  uint64_t pushes = 0;
-  uint64_t pops = 0;
+// Every SolverStats counter, declared once (see util/stats.hpp).
+#define MEISSA_SOLVER_STATS(X)                                               \
+  /* check() invocations — the paper's "# of SMT calls" (Fig. 11b/12b). */   \
+  X(uint64_t, checks)                                                        \
+  /* checks decided by the single-field domain fast path. */                 \
+  X(uint64_t, fast_path_hits)                                                \
+  /* checks that reached the SAT core (or Z3). */                            \
+  X(uint64_t, sat_calls)                                                     \
+  /* checks where the adaptive portfolio went straight to the SAT core  */   \
+  /* because the fast path kept losing in its CFG region (BvSolver only). */ \
+  X(uint64_t, fast_path_skipped)                                             \
+  /* checks that exhausted their Budget and returned kUnknown. */            \
+  X(uint64_t, unknowns)                                                      \
+  X(uint64_t, pushes)                                                        \
+  X(uint64_t, pops)
 
-  // Accumulate counters from another solver (e.g. per-worker solvers in a
-  // parallel exploration).
-  SolverStats& operator+=(const SolverStats& o) {
-    checks += o.checks;
-    fast_path_hits += o.fast_path_hits;
-    sat_calls += o.sat_calls;
-    fast_path_skipped += o.fast_path_skipped;
-    unknowns += o.unknowns;
-    pushes += o.pushes;
-    pops += o.pops;
+struct SolverStats {
+  // += accumulates counters from another solver (e.g. per-worker solvers
+  // in a parallel exploration).
+  MEISSA_STATS_STRUCT(SolverStats, MEISSA_SOLVER_STATS)
+
+  // Field-wise wrapping subtraction for the cumulative counters. Used by
+  // the engine to rebase a resumed shard's incremental-solver stats: the
+  // checkpoint holds counters *at the frontier*, the fresh solver restarts
+  // at zero and spends a few pushes on the check-free replay;
+  // (saved - at_replay_end) may wrap field-wise, and the later `+=` of the
+  // solver's cumulative counters un-wraps it to the uninterrupted values.
+  SolverStats& operator-=(const SolverStats& o) {
+    for_each_field([](const char*, uint64_t& a, uint64_t b) { a -= b; },
+                   *this, o);
     return *this;
   }
 };
-
-// Field-wise wrapping subtraction `a - b` for the cumulative counters.
-// Used by the engine to rebase a resumed shard's incremental-solver stats:
-// the checkpoint holds counters *at the frontier*, the fresh solver
-// restarts at zero and spends a few pushes on the check-free replay;
-// (saved - at_replay_end) may wrap field-wise, and the later `+=` of the
-// solver's cumulative counters un-wraps it to the uninterrupted values.
-inline SolverStats stats_minus(SolverStats a, const SolverStats& b) {
-  a.checks -= b.checks;
-  a.fast_path_hits -= b.fast_path_hits;
-  a.sat_calls -= b.sat_calls;
-  a.fast_path_skipped -= b.fast_path_skipped;
-  a.unknowns -= b.unknowns;
-  a.pushes -= b.pushes;
-  a.pops -= b.pops;
-  return a;
-}
 
 class Solver {
  public:

@@ -538,16 +538,11 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     // enumeration, falling back to the dataflow meet on explosion.
     PreCondition pc;
     if (opts.precondition_filtering) {
-      if (opts.precondition_mode == SummaryOptions::PreconditionMode::kDataflow) {
-        pc = compute_precondition(ctx, g, info.entry);
-      } else {
-        std::optional<PreCondition> exact = compute_precondition_by_enumeration(
-            ctx, g, info.entry, opts.max_precondition_paths, &w.ps.smt_checks,
-            "pre." + info.name, opts.static_pruning, &w.ps.smt_skipped,
-            opts.cancel, opts.shared_pc_cache);
-        pc = exact ? std::move(*exact)
-                   : compute_precondition(ctx, g, info.entry);
-      }
+      std::optional<PreCondition> exact = compute_precondition_by_enumeration(
+          ctx, g, info.entry, opts.max_precondition_paths, &w.ps.smt_checks,
+          "pre." + info.name, opts.static_pruning, &w.ps.smt_skipped,
+          opts.cancel, opts.shared_pc_cache);
+      pc = exact ? std::move(*exact) : compute_precondition(ctx, g, info.entry);
     }
 
     // 2. Symbolic execution within the pipeline (line 9), seeded so that

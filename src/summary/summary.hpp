@@ -69,13 +69,9 @@ struct SummaryOptions {
   bool precondition_filtering = true;
   bool use_z3 = false;
   bool check_every_predicate = false;  // paper-faithful Algorithm 1/2 mode
-  // Pre-condition computation: the default dataflow meet costs O(graph)
-  // and no solver calls; exact per-path enumeration (Algorithm 2 lines
-  // 4-7 verbatim) costs O(k * m^k) and is available for cross-checking.
-  enum class PreconditionMode { kDataflow, kEnumeration };
-  PreconditionMode precondition_mode = PreconditionMode::kEnumeration;
-  // Enumeration mode: beyond this many prefix paths, fall back to the
-  // dataflow meet.
+  // Pre-condition computation: exact per-path enumeration (Algorithm 2
+  // lines 4-7 verbatim, O(k * m^k)); beyond this many prefix paths it falls
+  // back to the dataflow meet (O(graph), no solver calls).
   size_t max_precondition_paths = 4096;
   // Worker threads for the per-pipeline explore phase (1 = sequential).
   // Pipelines are grouped into dependency waves (instance k depends on j

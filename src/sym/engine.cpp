@@ -67,7 +67,7 @@ struct Engine::ExplorationContext {
   bool replaying = false;
   uint64_t saved_fresh = 0;         // frontier fresh-symbol counter
   smt::SolverStats saved_solver;    // frontier cumulative solver counters
-  smt::SolverStats solver_base;     // rebasing offset (see stats_minus)
+  smt::SolverStats solver_base;     // rebasing offset (see end_replay)
   // Sat-model reuse (pc_cache on, incremental mode): the model of this
   // shard's last SAT-core-reaching kSat check, verified against
   // conds[0..last_model_conds). The DFS conds form a stack, so after a
@@ -162,7 +162,8 @@ struct Engine::ExplorationContext {
     replaying = false;
     state.set_fresh_counter(saved_fresh);
     if (eng.opts_.incremental) {
-      solver_base = smt::stats_minus(saved_solver, solver->stats());
+      solver_base = saved_solver;
+      solver_base -= solver->stats();
     }
   }
 

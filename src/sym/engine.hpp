@@ -102,65 +102,53 @@ struct EngineOptions {
   smt::PathCondCache* shared_pc_cache = nullptr;
 };
 
-struct EngineStats {
-  uint64_t valid_paths = 0;     // results emitted
-  uint64_t pruned_paths = 0;    // DFS branches cut (early termination/leaf)
-  uint64_t folded_checks = 0;   // predicates decided by substitution alone
-  uint64_t nodes_visited = 0;
-  // Terminals reached that were not the requested stop node (stop mode).
-  uint64_t offtarget_paths = 0;
-  // Static pruning: branches refuted without a solver call...
-  uint64_t static_prunes = 0;
-  // ...and solver checks skipped because the predicate's outcome was
-  // statically certain (implied by, or field-wise satisfiable under, the
-  // recorded path constraints).
-  uint64_t skipped_checks = 0;
-  // Branches abandoned because a budgeted check returned kUnknown: the
-  // solver could not decide them within its Budget. Disjoint from
-  // pruned_paths (those are *proven* infeasible); exact coverage is
-  // valid_paths, degraded_paths bounds what the budget may have cost.
-  uint64_t degraded_paths = 0;
-  bool timed_out = false;
-  // The run's CancelToken fired and the exploration unwound early.
-  bool cancelled = false;
-  // run_parallel shard supervision/resume accounting: shards retried after
-  // a watchdog trip or injected fault, shards abandoned after the retry
-  // failed too (their subtree's coverage is unknown — degraded, like
-  // degraded_paths, not proven empty), and shards restored or replayed
-  // from a ParallelHooks::resume snapshot.
-  uint64_t requeued_shards = 0;
-  uint64_t degraded_shards = 0;
-  uint64_t resumed_shards = 0;
-  // Path-condition cache traffic (pc_cache on): checks answered from the
-  // cache vs. sent to a backend, and backend-reaching sat checks whose
-  // verdict was instead confirmed by re-evaluating the shard's last model
-  // against the (few) new conjuncts.
-  uint64_t pc_cache_hits = 0;
-  uint64_t pc_cache_misses = 0;
-  uint64_t pc_model_reuse = 0;
-  smt::SolverStats solver;      // checks = the paper's "# of SMT calls"
+// Every EngineStats member, declared once (see util/stats.hpp). The order
+// is the checkpoint byte layout (driver/checkpoint.cpp).
+#define MEISSA_ENGINE_STATS(X)                                               \
+  /* Results emitted. */                                                     \
+  X(uint64_t, valid_paths)                                                   \
+  /* DFS branches cut (early termination/leaf). */                           \
+  X(uint64_t, pruned_paths)                                                  \
+  /* Predicates decided by substitution alone. */                            \
+  X(uint64_t, folded_checks)                                                 \
+  X(uint64_t, nodes_visited)                                                 \
+  /* Terminals reached other than the requested stop node (stop mode). */    \
+  X(uint64_t, offtarget_paths)                                               \
+  /* Static pruning: branches refuted without a solver call... */            \
+  X(uint64_t, static_prunes)                                                 \
+  /* ...and solver checks skipped because the predicate's outcome was */     \
+  /* statically certain (implied by, or field-wise satisfiable under,  */    \
+  /* the recorded path constraints).                                   */    \
+  X(uint64_t, skipped_checks)                                                \
+  /* Branches abandoned because a budgeted check returned kUnknown: the */   \
+  /* solver could not decide them within its Budget. Disjoint from      */   \
+  /* pruned_paths (those are *proven* infeasible); exact coverage is    */   \
+  /* valid_paths, degraded_paths bounds what the budget may have cost.  */   \
+  X(uint64_t, degraded_paths)                                                \
+  X(bool, timed_out)                                                         \
+  /* The run's CancelToken fired and the exploration unwound early. */       \
+  X(bool, cancelled)                                                         \
+  /* run_parallel shard supervision/resume accounting: shards retried  */    \
+  /* after a watchdog trip or injected fault, shards abandoned after   */    \
+  /* the retry failed too (their subtree's coverage is unknown —       */    \
+  /* degraded, like degraded_paths, not proven empty), and shards      */    \
+  /* restored or replayed from a ParallelHooks::resume snapshot.       */    \
+  X(uint64_t, requeued_shards)                                               \
+  X(uint64_t, degraded_shards)                                               \
+  X(uint64_t, resumed_shards)                                                \
+  /* Path-condition cache traffic (pc_cache on): checks answered from  */    \
+  /* the cache vs. sent to a backend, and backend-reaching sat checks  */    \
+  /* whose verdict was instead confirmed by re-evaluating the shard's  */    \
+  /* last model against the (few) new conjuncts.                       */    \
+  X(uint64_t, pc_cache_hits)                                                 \
+  X(uint64_t, pc_cache_misses)                                               \
+  X(uint64_t, pc_model_reuse)                                                \
+  /* checks = the paper's "# of SMT calls" */                                \
+  X(smt::SolverStats, solver)
 
-  // Accumulate counters from another exploration (per-shard workers).
-  EngineStats& operator+=(const EngineStats& o) {
-    valid_paths += o.valid_paths;
-    pruned_paths += o.pruned_paths;
-    folded_checks += o.folded_checks;
-    nodes_visited += o.nodes_visited;
-    offtarget_paths += o.offtarget_paths;
-    static_prunes += o.static_prunes;
-    skipped_checks += o.skipped_checks;
-    degraded_paths += o.degraded_paths;
-    timed_out = timed_out || o.timed_out;
-    cancelled = cancelled || o.cancelled;
-    requeued_shards += o.requeued_shards;
-    degraded_shards += o.degraded_shards;
-    resumed_shards += o.resumed_shards;
-    pc_cache_hits += o.pc_cache_hits;
-    pc_cache_misses += o.pc_cache_misses;
-    pc_model_reuse += o.pc_model_reuse;
-    solver += o.solver;
-    return *this;
-  }
+struct EngineStats {
+  // += accumulates counters from another exploration (per-shard workers).
+  MEISSA_STATS_STRUCT(EngineStats, MEISSA_ENGINE_STATS)
 };
 
 // One explored valid path, in input terms.

@@ -143,6 +143,46 @@ TEST(Checkpoint, TruncatedPayloadThrowsNotCrashes) {
   EXPECT_THROW(driver::deserialize_checkpoint(fresh, bytes), util::Error);
 }
 
+// The payload of an empty checkpoint is five u64s (graph_fp, glue_fp and
+// three element counts); the last is the shard count. Writes `count` into
+// it, little-endian, at `at`.
+void patch_shard_count(std::vector<uint8_t>& bytes, size_t at,
+                       uint64_t count) {
+  for (int i = 0; i < 8; ++i) bytes[at + i] = uint8_t(count >> (8 * i));
+}
+
+TEST(Checkpoint, OversizedCountIsRejectedBeforeAllocating) {
+  // A corrupt length prefix must fail as a format error, not as a
+  // std::length_error (2^62) or a multi-gigabyte allocation (2^24).
+  ir::Context ctx;
+  std::vector<uint8_t> payload = driver::serialize_checkpoint(ctx, {});
+  ASSERT_EQ(payload.size(), 40u);
+  for (uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 24}) {
+    std::vector<uint8_t> bad = payload;
+    patch_shard_count(bad, 32, count);
+    EXPECT_THROW(driver::deserialize_checkpoint(ctx, bad), util::Error)
+        << count;
+  }
+}
+
+TEST(Checkpoint, CrcValidFileWithOversizedCountDecodesToNothing) {
+  // Header: magic(8) version(4) key(8) payload_len(8) crc(4), then payload.
+  ir::Context ctx;
+  const uint64_t key = 7;
+  const std::vector<uint8_t> image =
+      driver::encode_checkpoint_file(ctx, key, {});
+  ASSERT_EQ(image.size(), 32u + 40u);
+  ASSERT_TRUE(driver::decode_checkpoint_file(ctx, key, image).has_value());
+  for (uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 24}) {
+    std::vector<uint8_t> bad = image;
+    patch_shard_count(bad, 32 + 32, count);
+    const uint32_t crc = driver::crc32(bad.data() + 32, 40);
+    for (int i = 0; i < 4; ++i) bad[28 + i] = uint8_t(crc >> (8 * i));
+    EXPECT_FALSE(driver::decode_checkpoint_file(ctx, key, bad).has_value())
+        << count;
+  }
+}
+
 TEST(Checkpoint, FileImageRejectsEveryCorruptionClass) {
   ir::Context ctx;
   p4::DataPlane dp = testlib::make_fig7_plane(ctx);

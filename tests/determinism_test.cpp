@@ -401,8 +401,8 @@ TEST(Determinism, SolverCacheActuallyHits) {
   apps::AppBundle app = multi_switch_app(ctx);
   driver::Generator gen(ctx, app.dp, app.rules, {});
   (void)gen.generate();
-  EXPECT_GT(gen.stats().pc_cache_hits, 0u);
-  EXPECT_GT(gen.stats().pc_cache_misses, 0u);
+  EXPECT_GT(gen.stats().engine.pc_cache_hits, 0u);
+  EXPECT_GT(gen.stats().engine.pc_cache_misses, 0u);
 
   ir::Context ctx_off;
   apps::AppBundle app_off = multi_switch_app(ctx_off);
@@ -411,10 +411,11 @@ TEST(Determinism, SolverCacheActuallyHits) {
   off.solver_portfolio = false;
   driver::Generator gen_off(ctx_off, app_off.dp, app_off.rules, off);
   (void)gen_off.generate();
-  EXPECT_EQ(gen_off.stats().pc_cache_hits, 0u);
+  EXPECT_EQ(gen_off.stats().engine.pc_cache_hits, 0u);
   // Every hit and every model reuse is one backend check the off run paid.
   EXPECT_EQ(gen.stats().engine.solver.checks +
-                gen.stats().pc_cache_hits + gen.stats().pc_model_reuse,
+                gen.stats().engine.pc_cache_hits +
+                gen.stats().engine.pc_model_reuse,
             gen_off.stats().engine.solver.checks);
   EXPECT_LT(gen.stats().engine.solver.checks,
             gen_off.stats().engine.solver.checks);
@@ -430,8 +431,8 @@ TEST(Determinism, SolverCacheAutoDisabledUnderLimitedBudget) {
   opts.smt_budget.max_conflicts = 1;  // ...but the budget disables it
   driver::Generator gen(ctx, app.dp, app.rules, opts);
   (void)gen.generate();
-  EXPECT_EQ(gen.stats().pc_cache_hits, 0u);
-  EXPECT_EQ(gen.stats().pc_cache_misses, 0u);
+  EXPECT_EQ(gen.stats().engine.pc_cache_hits, 0u);
+  EXPECT_EQ(gen.stats().engine.pc_cache_misses, 0u);
 }
 
 // ------------------------------------------------- static pruning (m4lint)

@@ -210,14 +210,12 @@ TEST(DegradedGeneration, TinyBudgetCompletesWithHonestAccounting) {
   std::vector<sym::TestCaseTemplate> templates = gen.generate();
   const driver::GenStats& st = gen.stats();
   // Exact coverage is exactly the emitted templates.
-  EXPECT_EQ(st.exact_paths, templates.size());
-  EXPECT_EQ(st.exact_paths, st.templates);
-  EXPECT_EQ(st.exact_paths, st.engine.valid_paths);
-  EXPECT_EQ(st.degraded_paths, st.engine.degraded_paths);
+  EXPECT_EQ(st.engine.valid_paths, templates.size());
+  EXPECT_EQ(st.engine.valid_paths, st.templates);
   // The budget actually bit: some checks exhausted it, and the branches
   // they guarded were recorded as degraded instead of silently dropped.
-  EXPECT_GT(st.smt_unknowns, 0u);
-  EXPECT_GT(st.degraded_paths, 0u);
+  EXPECT_GT(st.engine.solver.unknowns, 0u);
+  EXPECT_GT(st.engine.degraded_paths, 0u);
 }
 
 TEST(DegradedGeneration, UnlimitedBudgetReportsNoDegradation) {
@@ -226,9 +224,9 @@ TEST(DegradedGeneration, UnlimitedBudgetReportsNoDegradation) {
   driver::Generator gen(ctx, app.dp, app.rules, {});
   std::vector<sym::TestCaseTemplate> templates = gen.generate();
   EXPECT_FALSE(templates.empty());
-  EXPECT_EQ(gen.stats().degraded_paths, 0u);
-  EXPECT_EQ(gen.stats().smt_unknowns, 0u);
-  EXPECT_EQ(gen.stats().exact_paths, templates.size());
+  EXPECT_EQ(gen.stats().engine.degraded_paths, 0u);
+  EXPECT_EQ(gen.stats().engine.solver.unknowns, 0u);
+  EXPECT_EQ(gen.stats().engine.valid_paths, templates.size());
 }
 
 // ---------------------------------------------------------- cancellation

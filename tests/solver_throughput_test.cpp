@@ -1,8 +1,8 @@
 // Tests for the solver-throughput layer: the canonicalized path-condition
 // cache, the adaptive fast-path/bit-blasting portfolio, learned-clause
 // database hygiene (reduce_learnts bookkeeping + level-0 garbage
-// collection), the bounded bit-blaster caches, and the stats_minus
-// rebasing helper.
+// collection), the bounded bit-blaster caches, and the SolverStats -=
+// rebase.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -273,7 +273,7 @@ TEST(PathCondCache, CapStopsInsertionsNotLookups) {
   EXPECT_EQ(out, CheckResult::kUnsat);
 }
 
-// ----------------------------------------------------- stats_minus rebase
+// ------------------------------------------------- SolverStats -= rebase
 
 TEST(SolverStatsRebase, WrappingMinusUnWrapsUnderLaterAccumulate) {
   // The resume path computes base = saved - at_replay_end where the fresh
@@ -290,7 +290,8 @@ TEST(SolverStatsRebase, WrappingMinusUnWrapsUnderLaterAccumulate) {
   SolverStats at_replay_end;
   at_replay_end.pushes = 10;  // replay spent more pushes than were saved
   at_replay_end.pops = 4;
-  SolverStats base = stats_minus(saved, at_replay_end);
+  SolverStats base = saved;
+  base -= at_replay_end;
   // Intermediate value wraps; it is never reported directly.
   EXPECT_EQ(base.pushes, uint64_t{3} - uint64_t{10});
   SolverStats cumulative = at_replay_end;  // solver keeps counting from here

@@ -1,144 +1,147 @@
-// Tests for the stats merge operators used when aggregating per-worker
-// explorations and per-app benchmark runs.
+// Tests for the stats structs' bookkeeping generated from their member
+// lists (util/stats.hpp): every listed member merges by its type's rule,
+// SolverStats rebases with -=, and the checkpointed list (EngineStats with
+// its nested SolverStats) survives a payload round trip.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "driver/checkpoint.hpp"
 #include "driver/generator.hpp"
 
 namespace meissa {
 namespace {
 
+template <class T>
+constexpr bool kIsPipelines =
+    std::is_same_v<T, std::vector<summary::PipelineSummary>>;
+
+// Gives every member a distinct value: numbers and path counts take the
+// next integer, flags alternate, vectors get one element named after it.
+struct Fill {
+  uint64_t next;
+  template <class T>
+  void operator()(const char* name, T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = next++ % 2 == 1;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      v = static_cast<T>(next++);
+    } else if constexpr (std::is_same_v<T, util::BigCount>) {
+      v = util::BigCount::of(next++);
+    } else if constexpr (kIsPipelines<T>) {
+      v.push_back({name + std::to_string(next), util::BigCount::of(next),
+                   next, next, 0.5});
+      ++next;
+    } else {
+      T::for_each_field(*this, v);
+    }
+  }
+};
+
+template <class Stats>
+Stats filled(uint64_t first) {
+  Stats s;
+  Fill{first}("", s);
+  return s;
+}
+
+// Expects sum = a + b member by member: counters and times add, flags
+// are sticky-OR, pipelines append in order.
+struct ExpectMerged {
+  template <class T>
+  void operator()(const char* name, const T& sum, const T& a,
+                  const T& b) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      EXPECT_EQ(sum, a || b) << name;
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      EXPECT_EQ(sum, a + b) << name;
+    } else if constexpr (std::is_same_v<T, util::BigCount>) {
+      EXPECT_EQ(sum.exact(), a.exact() + b.exact()) << name;
+    } else if constexpr (kIsPipelines<T>) {
+      std::vector<std::string> want, got;
+      for (const auto* v : {&a, &b}) {
+        for (const summary::PipelineSummary& p : *v) want.push_back(p.instance);
+      }
+      for (const summary::PipelineSummary& p : sum) got.push_back(p.instance);
+      EXPECT_EQ(got, want) << name;
+    } else {
+      T::for_each_field(*this, sum, a, b);
+    }
+  }
+};
+
+// Expects x == y member by member (SolverStats and EngineStats only).
+struct ExpectEqual {
+  template <class T>
+  void operator()(const char* name, const T& x, const T& y) const {
+    if constexpr (std::is_arithmetic_v<T>) {
+      EXPECT_EQ(x, y) << name;
+    } else {
+      T::for_each_field(*this, x, y);
+    }
+  }
+};
+
+// The odd offset between a and b makes every flag differ between them.
+template <class Stats>
+void expect_merges() {
+  const Stats a = filled<Stats>(1);
+  const Stats b = filled<Stats>(1002);
+  Stats sum = a;
+  sum += b;
+  ExpectMerged{}("", sum, a, b);
+}
+
 TEST(StatsMerge, SolverStatsSumsAllCounters) {
-  smt::SolverStats a;
-  a.checks = 10;
-  a.fast_path_hits = 4;
-  a.sat_calls = 6;
-  a.fast_path_skipped = 3;
-  a.unknowns = 1;
-  a.pushes = 20;
-  a.pops = 18;
-  smt::SolverStats b;
-  b.checks = 1;
-  b.fast_path_hits = 1;
-  b.sat_calls = 0;
-  b.fast_path_skipped = 2;
-  b.unknowns = 2;
-  b.pushes = 2;
-  b.pops = 2;
-  a += b;
-  EXPECT_EQ(a.checks, 11u);
-  EXPECT_EQ(a.fast_path_hits, 5u);
-  EXPECT_EQ(a.sat_calls, 6u);
-  EXPECT_EQ(a.fast_path_skipped, 5u);
-  EXPECT_EQ(a.unknowns, 3u);
-  EXPECT_EQ(a.pushes, 22u);
-  EXPECT_EQ(a.pops, 20u);
+  expect_merges<smt::SolverStats>();
 }
 
 TEST(StatsMerge, EngineStatsSumsAndOrsTimeout) {
-  sym::EngineStats a;
-  a.valid_paths = 3;
-  a.pruned_paths = 2;
-  a.folded_checks = 7;
-  a.nodes_visited = 40;
-  a.offtarget_paths = 1;
-  a.static_prunes = 4;
-  a.skipped_checks = 6;
-  a.degraded_paths = 2;
-  a.pc_cache_hits = 8;
-  a.pc_cache_misses = 12;
-  a.pc_model_reuse = 2;
-  a.solver.checks = 5;
-  sym::EngineStats b;
-  b.valid_paths = 2;
-  b.pruned_paths = 1;
-  b.degraded_paths = 3;
-  b.cancelled = true;
-  b.folded_checks = 3;
-  b.nodes_visited = 10;
-  b.offtarget_paths = 0;
-  b.static_prunes = 1;
-  b.skipped_checks = 2;
-  b.timed_out = true;
-  b.pc_cache_hits = 2;
-  b.pc_cache_misses = 3;
-  b.pc_model_reuse = 1;
-  b.solver.checks = 4;
-  a += b;
-  EXPECT_EQ(a.valid_paths, 5u);
-  EXPECT_EQ(a.pruned_paths, 3u);
-  EXPECT_EQ(a.folded_checks, 10u);
-  EXPECT_EQ(a.nodes_visited, 50u);
-  EXPECT_EQ(a.offtarget_paths, 1u);
-  EXPECT_EQ(a.static_prunes, 5u);
-  EXPECT_EQ(a.skipped_checks, 8u);
-  EXPECT_EQ(a.degraded_paths, 5u);
-  EXPECT_TRUE(a.timed_out);
-  EXPECT_TRUE(a.cancelled);
-  EXPECT_EQ(a.pc_cache_hits, 10u);
-  EXPECT_EQ(a.pc_cache_misses, 15u);
-  EXPECT_EQ(a.pc_model_reuse, 3u);
-  EXPECT_EQ(a.solver.checks, 9u);
+  expect_merges<sym::EngineStats>();
+
   // timed_out and cancelled are sticky in both directions.
-  sym::EngineStats c;
-  a += c;
-  EXPECT_TRUE(a.timed_out);
-  EXPECT_TRUE(a.cancelled);
+  sym::EngineStats flags;
+  sym::EngineStats raised;
+  raised.timed_out = true;
+  raised.cancelled = true;
+  flags += raised;
+  flags += sym::EngineStats{};
+  EXPECT_TRUE(flags.timed_out);
+  EXPECT_TRUE(flags.cancelled);
 }
 
 TEST(StatsMerge, GenStatsSumsTimesCountersAndPipelines) {
-  driver::GenStats a;
-  a.build_seconds = 1.0;
-  a.summary_seconds = 2.0;
-  a.dfs_seconds = 3.0;
-  a.total_seconds = 6.0;
-  a.smt_checks = 100;
-  a.smt_calls_skipped = 30;
-  a.templates = 5;
-  a.diagnostics = 1;
-  a.paths_original = util::BigCount::of(1000);
-  a.paths_summarized = util::BigCount::of(10);
-  a.pipelines.push_back({"ingress0", util::BigCount::of(100), 4, 9, 0.5});
-  a.engine.valid_paths = 5;
-  a.exact_paths = 5;
-  a.degraded_paths = 1;
-  a.smt_unknowns = 1;
-  driver::GenStats b;
-  b.timed_out = true;
-  b.cancelled = true;
-  b.exact_paths = 2;
-  b.degraded_paths = 4;
-  b.smt_unknowns = 6;
-  b.build_seconds = 0.5;
-  b.summary_seconds = 0.25;
-  b.dfs_seconds = 0.25;
-  b.total_seconds = 1.0;
-  b.smt_checks = 10;
-  b.smt_calls_skipped = 5;
-  b.templates = 2;
-  b.paths_original = util::BigCount::of(24);
-  b.paths_summarized = util::BigCount::of(6);
-  b.pipelines.push_back({"egress0", util::BigCount::of(8), 2, 3, 0.1});
-  b.engine.valid_paths = 2;
-  a += b;
-  EXPECT_TRUE(a.timed_out);
-  EXPECT_TRUE(a.cancelled);
-  EXPECT_EQ(a.exact_paths, 7u);
-  EXPECT_EQ(a.degraded_paths, 5u);
-  EXPECT_EQ(a.smt_unknowns, 7u);
-  EXPECT_DOUBLE_EQ(a.build_seconds, 1.5);
-  EXPECT_DOUBLE_EQ(a.summary_seconds, 2.25);
-  EXPECT_DOUBLE_EQ(a.dfs_seconds, 3.25);
-  EXPECT_DOUBLE_EQ(a.total_seconds, 7.0);
-  EXPECT_EQ(a.smt_checks, 110u);
-  EXPECT_EQ(a.smt_calls_skipped, 35u);
-  EXPECT_EQ(a.templates, 7u);
-  EXPECT_EQ(a.diagnostics, 1u);
-  EXPECT_EQ(a.paths_original.exact(), 1024u);
-  EXPECT_EQ(a.paths_summarized.exact(), 16u);
-  ASSERT_EQ(a.pipelines.size(), 2u);
-  EXPECT_EQ(a.pipelines[0].instance, "ingress0");
-  EXPECT_EQ(a.pipelines[1].instance, "egress0");
-  EXPECT_EQ(a.engine.valid_paths, 7u);
+  expect_merges<driver::GenStats>();
+}
+
+// -= rebases every SolverStats counter, wrapping where the subtrahend is
+// larger; a later += of the same counters un-wraps it.
+TEST(StatsMerge, SolverStatsRebaseWrapsAndUnwraps) {
+  const smt::SolverStats a = filled<smt::SolverStats>(1);
+  const smt::SolverStats b = filled<smt::SolverStats>(1000);
+  smt::SolverStats diff = a;
+  diff -= b;
+  smt::SolverStats::for_each_field(
+      [](const char* name, uint64_t d, uint64_t x, uint64_t y) {
+        EXPECT_EQ(d, x - y) << name;
+      },
+      diff, a, b);
+  diff += b;
+  ExpectEqual{}("", diff, a);
+}
+
+// The checkpointed list round-trips through a ShardProgress.
+TEST(StatsMerge, EngineStatsRoundTripThroughCheckpoint) {
+  ir::Context ctx;
+  driver::CheckpointData data;
+  data.shards.resize(1);
+  data.shards[0].stats = filled<sym::EngineStats>(1);
+  const driver::CheckpointData back = driver::deserialize_checkpoint(
+      ctx, driver::serialize_checkpoint(ctx, data));
+  ASSERT_EQ(back.shards.size(), 1u);
+  ExpectEqual{}("", back.shards[0].stats, data.shards[0].stats);
 }
 
 }  // namespace
