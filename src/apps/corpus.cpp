@@ -552,7 +552,7 @@ WitnessPool concretize_pool(ir::Context& ctx, const p4::DataPlane& dp,
                             const std::vector<sym::TestCaseTemplate>& ts,
                             const CorpusOptions& opts) {
   WitnessPool pool;
-  driver::Sender sender(ctx, dp, meissa.graph(), opts.seed);
+  driver::Sender sender(ctx, dp, meissa.graph());
   for (const sym::TestCaseTemplate& t : ts) {
     if (pool.cases.size() >= opts.witness_templates) break;
     std::optional<driver::TestCase> tc =

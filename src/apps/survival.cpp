@@ -104,7 +104,7 @@ struct ReferenceState {
     if (!seeded) {
       seeded = true;
       driver::Meissa& m = engine(o);
-      driver::Sender sender(ctx, dp, m.graph(), o.seed);
+      driver::Sender sender(ctx, dp, m.graph());
       for (const sym::TestCaseTemplate& t : m.generate()) {
         if (seeds.size() >= o.fuzz_seeds) break;
         std::optional<driver::TestCase> tc =

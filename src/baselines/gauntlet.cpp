@@ -37,7 +37,7 @@ BaselineResult run_gauntlet(ir::Context& ctx, const p4::DataPlane& dp,
   r.failures += generator.stats().diagnostics;
 
   if (device != nullptr && !r.timed_out) {
-    driver::Sender sender(ctx, dp, generator.graph(), /*seed=*/11);
+    driver::Sender sender(ctx, dp, generator.graph());
     for (const sym::TestCaseTemplate& t : templates) {
       auto tc = sender.concretize(t, generator.engine());
       if (!tc) continue;

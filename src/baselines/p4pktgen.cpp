@@ -48,7 +48,7 @@ BaselineResult run_p4pktgen(ir::Context& ctx, const p4::DataPlane& dp,
   r.failures += generator.stats().diagnostics;
 
   if (device != nullptr && !r.timed_out) {
-    driver::Sender sender(ctx, dp, generator.graph(), /*seed=*/7);
+    driver::Sender sender(ctx, dp, generator.graph());
     for (const sym::TestCaseTemplate& t : templates) {
       auto tc = sender.concretize(t, generator.engine());
       if (!tc) continue;

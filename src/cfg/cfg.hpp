@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/dense.hpp"
 #include "ir/stmt.hpp"
 #include "p4/program.hpp"
 #include "util/big_count.hpp"
@@ -180,13 +181,13 @@ class Cfg {
 // A possible path: node ids from the entry to a terminal.
 using Path = std::vector<NodeId>;
 
-// Concrete evaluation along a path (paper Fig. 4). Returns the final state
-// when every predicate holds and every read is bound; nullopt otherwise
-// (i.e. the state does not drive this path). Hash nodes are computed
-// concretely.
-std::optional<ir::ConcreteState> eval_path(const Cfg& g, const Path& path,
-                                           ir::ConcreteState initial,
-                                           const ir::Context& ctx);
+// Concrete evaluation along a path (paper Fig. 4), in place: returns true,
+// with `state` holding the final state, when every predicate holds and
+// every read is bound; false otherwise (the state does not drive this
+// path), leaving `state` with the writes made before the failing node.
+// Hash nodes are computed concretely.
+bool eval_path(const Cfg& g, const Path& path, ir::DenseState& state,
+               const ir::Context& ctx);
 
 // Enumerates every possible path (for tests and brute-force oracles only —
 // exponential!). Throws if more than `limit` paths exist.

@@ -1,37 +1,38 @@
 // Concrete execution along a CFG path — the evaluation relation of paper
-// Fig. 4. Used by tests as the ground-truth oracle for path validity and
-// by the bug-localization tracer.
+// Fig. 4. The sender replays each template's path with it, tests use it as
+// the ground-truth oracle for path validity, and the bug-localization
+// tracer steps through hash nodes with it.
 #include "cfg/cfg.hpp"
 
 namespace meissa::cfg {
 
-std::optional<ir::ConcreteState> eval_path(const Cfg& g, const Path& path,
-                                           ir::ConcreteState state,
-                                           const ir::Context& ctx) {
+bool eval_path(const Cfg& g, const Path& path, ir::DenseState& state,
+               const ir::Context& ctx) {
+  std::vector<uint64_t> keys;
+  std::vector<int> widths;
   for (NodeId id : path) {
     const Node& n = g.node(id);
     if (n.is_hash) {
-      std::vector<uint64_t> keys;
-      std::vector<int> widths;
+      keys.clear();
+      widths.clear();
       if (!n.hash.key_exprs.empty()) {
         // Summarized hash: keys are expressions over entry snapshots.
         for (ir::ExprRef e : n.hash.key_exprs) {
           auto v = ir::eval(e, state);
-          if (!v) return std::nullopt;  // unbound read
+          if (!v) return false;  // unbound read
           keys.push_back(*v);
           widths.push_back(e->width);
         }
       } else {
-        keys.reserve(n.hash.keys.size());
         for (ir::FieldId k : n.hash.keys) {
-          auto it = state.find(k);
-          if (it == state.end()) return std::nullopt;  // unbound read
-          keys.push_back(it->second);
+          auto v = state.find(k);
+          if (!v) return false;  // unbound read
+          keys.push_back(*v);
           widths.push_back(ctx.fields.width(k));
         }
       }
-      state[n.hash.dest] = p4::compute_hash(n.hash.algo, keys, widths,
-                                            ctx.fields.width(n.hash.dest));
+      state.set(n.hash.dest, p4::compute_hash(n.hash.algo, keys, widths,
+                                              ctx.fields.width(n.hash.dest)));
       continue;
     }
     switch (n.stmt.kind) {
@@ -39,20 +40,20 @@ std::optional<ir::ConcreteState> eval_path(const Cfg& g, const Path& path,
         break;
       case ir::StmtKind::kAssign: {
         auto v = ir::eval(n.stmt.expr, state);
-        if (!v) return std::nullopt;
-        state[n.stmt.target] = *v;
+        if (!v) return false;
+        state.set(n.stmt.target, *v);
         break;
       }
       case ir::StmtKind::kAssume: {
         auto v = ir::eval(n.stmt.expr, state);
         // A false (or undecidable) predicate has no evaluation rule: the
         // state does not drive this path.
-        if (!v || *v == 0) return std::nullopt;
+        if (!v || *v == 0) return false;
         break;
       }
     }
   }
-  return state;
+  return true;
 }
 
 }  // namespace meissa::cfg

@@ -173,7 +173,9 @@ std::string symbolic_trace(const ir::Context& ctx, const cfg::Cfg& g,
                            const cfg::Path& path,
                            const ir::ConcreteState& input, size_t max_lines) {
   std::ostringstream os;
-  ir::ConcreteState s = input;
+  ir::DenseState s;
+  s.reset(ctx.fields.size(), ctx.fields.size());
+  s.load(input);
   size_t lines = 0;
   for (cfg::NodeId id : path) {
     if (lines >= max_lines) {
@@ -182,12 +184,10 @@ std::string symbolic_trace(const ir::Context& ctx, const cfg::Cfg& g,
     }
     const cfg::Node& n = g.node(id);
     if (n.is_hash) {
-      cfg::Path one{id};
-      auto after = cfg::eval_path(g, one, s, ctx);
+      // A hash node fails before writing, so `s` is unchanged on failure.
       os << "  hash -> " << ctx.fields.name(n.hash.dest);
-      if (after) {
-        os << " = " << util::hex((*after).at(n.hash.dest));
-        s = std::move(*after);
+      if (cfg::eval_path(g, {id}, s, ctx)) {
+        os << " = " << util::hex(s.get(n.hash.dest));
       } else {
         os << " (unevaluable)";
       }
@@ -204,7 +204,7 @@ std::string symbolic_trace(const ir::Context& ctx, const cfg::Cfg& g,
            << ir::to_string(n.stmt.expr, ctx.fields);
         if (v) {
           os << "  [= " << util::hex(*v) << "]";
-          s[n.stmt.target] = *v;
+          s.set(n.stmt.target, *v);
         }
         os << "\n";
         ++lines;

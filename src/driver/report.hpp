@@ -62,6 +62,8 @@ struct TestReport {
 // statements with concrete values at each step (paper §7: "a trace that
 // shows all executed actions, hit table rules, branching, and assignment
 // statements, along with the values of corresponding arguments").
+// Fields `input` does not assign read 0, so a test case's sparse
+// `input_state` renders exactly as the state the sender replayed.
 std::string symbolic_trace(const ir::Context& ctx, const cfg::Cfg& g,
                            const cfg::Path& path,
                            const ir::ConcreteState& input, size_t max_lines);

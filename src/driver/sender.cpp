@@ -32,11 +32,22 @@ FrameClass classify_frame(const std::vector<uint8_t>& bytes, uint64_t want,
 }
 
 Sender::Sender(ir::Context& ctx, const p4::DataPlane& dp,
-               const cfg::Cfg& graph, uint64_t seed)
-    : ctx_(ctx), dp_(dp), graph_(graph), rng_(seed) {}
+               const cfg::Cfg& graph, uint64_t /*seed*/)
+    : ctx_(ctx),
+      dp_(dp),
+      graph_(graph),
+      ingress_port_(ctx.fields.require(std::string(p4::kIngressPort))),
+      egress_spec_(ctx.fields.require(std::string(p4::kEgressSpec))) {
+  for (const p4::HeaderDef& h : dp_.program.headers) {
+    std::vector<ir::FieldId>& ids = header_fields_[h.name];
+    for (const p4::FieldDef& f : h.fields) {
+      ids.push_back(ctx_.fields.require(p4::content_field(h.name, f.name)));
+    }
+  }
+}
 
 std::vector<std::string> Sender::simulate_parse(
-    const std::string& instance, const ir::ConcreteState& s) const {
+    const std::string& instance) const {
   const p4::PipeInstance* pi = dp_.topology.find_instance(instance);
   util::check(pi != nullptr, "sender: unknown entry instance");
   const p4::Parser& parser = dp_.program.find_pipeline(pi->pipeline)->parser;
@@ -49,9 +60,7 @@ std::vector<std::string> Sender::simulate_parse(
     }
     std::string next = state->default_next;
     if (!state->select_field.empty()) {
-      ir::FieldId f = ctx_.fields.require(state->select_field);
-      auto it = s.find(f);
-      uint64_t v = it == s.end() ? 0 : it->second;
+      uint64_t v = state_.get(ctx_.fields.require(state->select_field));
       for (const p4::ParserTransition& t : state->cases) {
         if ((v & t.mask) == (t.value & t.mask)) {
           next = t.next;
@@ -65,11 +74,21 @@ std::vector<std::string> Sender::simulate_parse(
   return seq;
 }
 
+packet::HeaderValues Sender::header_values(const std::string& h) const {
+  packet::HeaderValues hv;
+  hv.header = h;
+  for (ir::FieldId f : header_fields_.at(h)) hv.values.push_back(state_.get(f));
+  return hv;
+}
+
 std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
                                            sym::Engine& engine) {
   // 1. A model of the path condition — with hash-obligation repair: if the
   // model's placeholder value disagrees with the recomputed hash, pin the
   // placeholder and re-solve; give up (remove the case) after a few rounds.
+  // Each round loads its model into `state_` over zeros for every other
+  // field: hash keys evaluate there, and the accepted round's state is the
+  // input the path is replayed from.
   std::vector<ir::ExprRef> extra;
   std::optional<smt::Model> model;
   {
@@ -84,25 +103,18 @@ std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
         ++removed_by_hash_;
         return std::nullopt;  // over-constrained by repair: remove (§4)
       }
+      const size_t nfields = ctx_.fields.size();
+      state_.reset(nfields, nfields);
+      state_.load(*model);
       bool consistent = true;
       extra.clear();
       for (const sym::HashObligation& o : t.obligations) {
         std::vector<uint64_t> kv;
         std::vector<int> kw;
-        ir::ConcreteState ms(model->begin(), model->end());
         bool known = true;
         for (size_t i = 0; i < o.key_exprs.size(); ++i) {
-          auto v = ir::eval(o.key_exprs[i], ms);
-          if (!v) {
-            // Key depends on an unconstrained input: default it to zero,
-            // consistent with the state completion below.
-            ir::ConcreteState padded = ms;
-            std::unordered_set<ir::FieldId> fs;
-            ir::collect_fields(o.key_exprs[i], fs);
-            for (ir::FieldId f : fs) padded.try_emplace(f, 0);
-            v = ir::eval(o.key_exprs[i], padded);
-            known = v.has_value();
-          }
+          auto v = ir::eval(o.key_exprs[i], state_);
+          known = v.has_value();
           if (!known) break;
           kv.push_back(*v);
           kw.push_back(o.key_widths[i]);
@@ -125,74 +137,58 @@ std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
       }
       ++hash_repair_attempts_;  // another pinned re-solve round follows
     }
-  }  // solve span ends before the concrete replay
+  }  // solve span ends before the packet is built
 
-  // 2. Complete the input state: model values, zero defaults elsewhere.
   TestCase tc;
   tc.template_id = t.id;
   tc.case_id = next_case_id_++;
-  ir::ConcreteState s;
-  for (auto& [f, v] : *model) s[f] = v;
-  for (ir::FieldId f = 0; f < ctx_.fields.size(); ++f) s.try_emplace(f, 0);
-
-  // 3. Replay the path concretely: yields the exact final state (including
-  // real hash results) or rejects a model that does not drive the path.
-  auto final_state = cfg::eval_path(graph_, t.path, s, ctx_);
-  if (!final_state) {
-    ++removed_by_hash_;
-    return std::nullopt;
-  }
-
-  // 4. Build the input packet via parser simulation at the entry instance.
-  util::check(t.entry_instance >= 0, "template without entry instance");
-  const cfg::InstanceInfo& entry =
-      graph_.instances()[static_cast<size_t>(t.entry_instance)];
-  std::vector<std::string> in_headers = simulate_parse(entry.name, s);
-  for (const std::string& h : in_headers) {
-    const p4::HeaderDef* def = dp_.program.find_header(h);
-    packet::HeaderValues hv;
-    hv.header = h;
-    for (const p4::FieldDef& f : def->fields) {
-      hv.values.push_back(
-          s.at(ctx_.fields.require(p4::content_field(h, f.name))));
+  {
+    // 2. The input packet, from the initial state: parser simulation at
+    // the entry instance, then the unique-id payload (paper §4).
+    obs::Span span("packet", "sender");
+    util::check(t.entry_instance >= 0, "template without entry instance");
+    const cfg::InstanceInfo& entry =
+        graph_.instances()[static_cast<size_t>(t.entry_instance)];
+    for (const std::string& h : simulate_parse(entry.name)) {
+      tc.input_packet.headers.push_back(header_values(h));
     }
-    tc.input_packet.headers.push_back(std::move(hv));
+    stamp_payload(tc.input_packet.payload, tc.case_id);
+    tc.input.port = state_.get(ingress_port_);
+    tc.input.bytes = packet::serialize(dp_.program, tc.input_packet);
+
+    // Register cells referenced by the model must be installed.
+    for (const auto& [f, v] : *model) {
+      if (util::starts_with(ctx_.fields.name(f), "REG:")) {
+        tc.registers[f] = v;
+      }
+    }
+    tc.input_state = std::move(*model);
   }
-  // Unique id payload (paper §4): 8-byte case id + fixed filler.
-  stamp_payload(tc.input_packet.payload, tc.case_id);
 
-  tc.input.port = s.at(ctx_.fields.require(std::string(p4::kIngressPort)));
-  tc.input.bytes = packet::serialize(dp_.program, tc.input_packet);
-  tc.input_state = s;
-
-  // 5. Register cells referenced by the model must be installed.
-  for (auto& [f, v] : *model) {
-    if (util::starts_with(ctx_.fields.name(f), "REG:")) {
-      tc.registers[f] = v;
+  // 3. Replay the path concretely, in place: yields the exact final state
+  // (including real hash results) or rejects a model that does not drive
+  // the path.
+  {
+    obs::Span span("replay", "sender");
+    if (!cfg::eval_path(graph_, t.path, state_, ctx_)) {
+      ++removed_by_hash_;
+      return std::nullopt;
     }
   }
 
-  // 6. Expected output from the final state.
+  // 4. Expected output from the final state.
   if (t.exit == cfg::ExitKind::kDrop) {
     tc.expect_drop = true;
     return tc;
   }
+  obs::Span span("packet", "sender");
   util::check(t.emit_instance >= 0, "emit template without instance");
   const cfg::InstanceInfo& emit =
       graph_.instances()[static_cast<size_t>(t.emit_instance)];
-  tc.expect_port =
-      final_state->at(ctx_.fields.require(std::string(p4::kEgressSpec)));
+  tc.expect_port = state_.get(egress_spec_);
   for (const std::string& h : emit.emit_order) {
-    auto vit = final_state->find(emit.validity.at(h));
-    if (vit == final_state->end() || vit->second == 0) continue;
-    const p4::HeaderDef* def = dp_.program.find_header(h);
-    packet::HeaderValues hv;
-    hv.header = h;
-    for (const p4::FieldDef& f : def->fields) {
-      hv.values.push_back(
-          final_state->at(ctx_.fields.require(p4::content_field(h, f.name))));
-    }
-    tc.expect_packet.headers.push_back(std::move(hv));
+    if (state_.get(emit.validity.at(h)) == 0) continue;
+    tc.expect_packet.headers.push_back(header_values(h));
   }
   tc.expect_packet.payload = tc.input_packet.payload;
   tc.expect_bytes = packet::serialize(dp_.program, tc.expect_packet);

@@ -7,11 +7,12 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "driver/generator.hpp"
+#include "ir/dense.hpp"
 #include "sim/device.hpp"
-#include "util/rng.hpp"
 
 namespace meissa::driver {
 
@@ -40,7 +41,9 @@ struct TestCase {
   uint64_t case_id = 0;
   sim::DeviceInput input;
   packet::Packet input_packet;
-  ir::ConcreteState input_state;  // complete initial state (model + defaults)
+  // The model's assignments; every field it leaves unset is 0 in the
+  // replayed initial state (symbolic_trace applies the same completion).
+  ir::ConcreteState input_state;
   ir::ConcreteState registers;    // REG:* cells to install on the device
   bool expect_drop = false;
   uint64_t expect_port = 0;
@@ -50,8 +53,10 @@ struct TestCase {
 
 class Sender {
  public:
+  // Concretization does not depend on the seed: nothing in it is
+  // randomized, and the parameter stays only so existing callers compile.
   Sender(ir::Context& ctx, const p4::DataPlane& dp, const cfg::Cfg& graph,
-         uint64_t seed = 1);
+         uint64_t /*seed*/ = 1);
 
   // Concretizes a template. Returns nullopt when the case must be removed
   // (hash obligations cannot be satisfied after repair attempts).
@@ -72,15 +77,24 @@ class Sender {
   static constexpr int kMaxHashRepairRounds = 3;
 
  private:
-  // Walks the entry pipeline's parser FSM over concrete field values to
-  // derive the input packet's header sequence.
-  std::vector<std::string> simulate_parse(const std::string& instance,
-                                          const ir::ConcreteState& s) const;
+  // Walks the entry pipeline's parser FSM over the concrete field values in
+  // `state_` to derive the input packet's header sequence.
+  std::vector<std::string> simulate_parse(const std::string& instance) const;
+  // Reads header `h`'s content fields from `state_`.
+  packet::HeaderValues header_values(const std::string& h) const;
 
   ir::Context& ctx_;
   const p4::DataPlane& dp_;
   const cfg::Cfg& graph_;
-  util::Rng rng_;
+  // Content-field ids of every program header, in declaration order,
+  // resolved once instead of per case.
+  std::unordered_map<std::string, std::vector<ir::FieldId>> header_fields_;
+  ir::FieldId ingress_port_;
+  ir::FieldId egress_spec_;
+  // The case being concretized: the model over zeros for every other
+  // field, then (replayed in place) the path's final state. One store
+  // serves every case.
+  ir::DenseState state_;
   uint64_t next_case_id_ = 1;
   uint64_t removed_by_hash_ = 0;
   uint64_t hash_repair_attempts_ = 0;

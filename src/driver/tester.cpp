@@ -30,7 +30,7 @@ TestReport Meissa::test(sim::Device& device,
   TestReport report;
   report.templates = templates_.size();
 
-  Sender sender(ctx_, dp_, gen_.graph(), opts_.seed);
+  Sender sender(ctx_, dp_, gen_.graph());
 
   // Checks one settled verdict and folds it into the report.
   auto record = [&](const sym::TestCaseTemplate& t, const TestCase& tc,

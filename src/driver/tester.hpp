@@ -9,6 +9,8 @@ namespace meissa::driver {
 
 struct TestRunOptions {
   GenOptions gen;
+  // Keys the flaky-link retry backoff jitter; concretization does not
+  // depend on it.
   uint64_t seed = 1;
   size_t max_recorded_failures = 25;
   bool collect_traces = true;  // symbolic + physical traces on failure

@@ -314,54 +314,6 @@ ExprRef ExprArena::masked_eq(ExprRef f, uint64_t mask, uint64_t value) {
              constant(value & mask, w));
 }
 
-std::optional<uint64_t> eval(ExprRef e, const ConcreteState& state) {
-  switch (e->kind) {
-    case ExprKind::kConst:
-      return e->value;
-    case ExprKind::kBoolConst:
-      return e->value;
-    case ExprKind::kField: {
-      auto it = state.find(e->field);
-      if (it == state.end()) return std::nullopt;
-      return util::truncate(it->second, e->width);
-    }
-    case ExprKind::kArith: {
-      auto a = eval(e->lhs, state);
-      auto b = eval(e->rhs, state);
-      if (!a || !b) return std::nullopt;
-      return apply_arith(e->arith_op(), *a, *b, e->width);
-    }
-    case ExprKind::kCmp: {
-      auto a = eval(e->lhs, state);
-      auto b = eval(e->rhs, state);
-      if (!a || !b) return std::nullopt;
-      return apply_cmp(e->cmp_op(), *a, *b) ? 1 : 0;
-    }
-    case ExprKind::kBool: {
-      // Short-circuit so partially-bound states still decide when possible.
-      auto a = eval(e->lhs, state);
-      if (e->bool_op() == BoolOp::kAnd) {
-        if (a && *a == 0) return 0;
-        auto b = eval(e->rhs, state);
-        if (b && *b == 0) return 0;
-        if (a && b) return 1;
-        return std::nullopt;
-      }
-      if (a && *a == 1) return 1;
-      auto b = eval(e->rhs, state);
-      if (b && *b == 1) return 1;
-      if (a && b) return 0;
-      return std::nullopt;
-    }
-    case ExprKind::kNot: {
-      auto a = eval(e->lhs, state);
-      if (!a) return std::nullopt;
-      return *a ? 0 : 1;
-    }
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 ExprRef substitute_memo(ExprRef e, ExprArena& arena,
@@ -435,29 +387,49 @@ void collect_fields(ExprRef e, std::unordered_set<FieldId>& out) {
   }
 }
 
-std::string to_string(ExprRef e, const FieldTable& fields) {
+namespace {
+
+// Appends `e` to `out`. Built by appends rather than chained `+`
+// temporaries, which GCC 12's -Wrestrict misreports at -O2.
+void append_expr(std::string& out, ExprRef e, const FieldTable& fields) {
   switch (e->kind) {
     case ExprKind::kConst:
-      return e->value > 9 ? util::hex(e->value) : std::to_string(e->value);
+      out += e->value > 9 ? util::hex(e->value) : std::to_string(e->value);
+      return;
     case ExprKind::kBoolConst:
-      return e->value ? "true" : "false";
+      out += e->value ? "true" : "false";
+      return;
     case ExprKind::kField:
-      return fields.name(e->field);
-    case ExprKind::kArith:
-      return "(" + to_string(e->lhs, fields) + " " +
-             arith_op_name(e->arith_op()) + " " + to_string(e->rhs, fields) +
-             ")";
-    case ExprKind::kCmp:
-      return "(" + to_string(e->lhs, fields) + " " + cmp_op_name(e->cmp_op()) +
-             " " + to_string(e->rhs, fields) + ")";
-    case ExprKind::kBool:
-      return "(" + to_string(e->lhs, fields) +
-             (e->bool_op() == BoolOp::kAnd ? " && " : " || ") +
-             to_string(e->rhs, fields) + ")";
+      out += fields.name(e->field);
+      return;
     case ExprKind::kNot:
-      return "~" + to_string(e->lhs, fields);
+      out += '~';
+      append_expr(out, e->lhs, fields);
+      return;
+    case ExprKind::kArith:
+    case ExprKind::kCmp:
+    case ExprKind::kBool:
+      break;
   }
-  return "?";
+  const char* op = e->kind == ExprKind::kArith ? arith_op_name(e->arith_op())
+                   : e->kind == ExprKind::kCmp ? cmp_op_name(e->cmp_op())
+                   : e->bool_op() == BoolOp::kAnd ? "&&"
+                                                  : "||";
+  out += '(';
+  append_expr(out, e->lhs, fields);
+  out += ' ';
+  out += op;
+  out += ' ';
+  append_expr(out, e->rhs, fields);
+  out += ')';
+}
+
+}  // namespace
+
+std::string to_string(ExprRef e, const FieldTable& fields) {
+  std::string out;
+  append_expr(out, e, fields);
+  return out;
 }
 
 }  // namespace meissa::ir

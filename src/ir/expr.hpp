@@ -135,9 +135,78 @@ class ExprArena {
 // Concrete state: a total or partial assignment of fields to values.
 using ConcreteState = std::unordered_map<FieldId, uint64_t>;
 
-// Evaluates `e` under `state`. Returns nullopt when the expression reads a
-// field absent from the state. Boolean expressions evaluate to 0/1.
-std::optional<uint64_t> eval(ExprRef e, const ConcreteState& state);
+// The one expression evaluator. `read(f)` returns field `f`'s value, or
+// nullopt when it is unbound; the result is nullopt when the expression
+// depends on an unbound read. Boolean expressions evaluate to 0/1, and
+// && / || short-circuit so partially-bound states still decide when
+// possible. Every concrete-state type (ConcreteState, DenseState, the
+// device's arena) evaluates through it.
+template <class Read>
+std::optional<uint64_t> eval_with(ExprRef e, const Read& read) {
+  switch (e->kind) {
+    case ExprKind::kConst:
+    case ExprKind::kBoolConst:
+      return e->value;
+    case ExprKind::kField: {
+      std::optional<uint64_t> v = read(e->field);
+      if (!v) return std::nullopt;
+      return util::truncate(*v, e->width);
+    }
+    case ExprKind::kArith: {
+      auto a = eval_with(e->lhs, read);
+      auto b = eval_with(e->rhs, read);
+      if (!a || !b) return std::nullopt;
+      return apply_arith(e->arith_op(), *a, *b, e->width);
+    }
+    case ExprKind::kCmp: {
+      // Fast path for the dominant guard shape, `field <op> const`
+      // (entry/edge guards, if-conditions): skip two recursion levels.
+      if (e->lhs->kind == ExprKind::kField &&
+          e->rhs->kind == ExprKind::kConst) {
+        std::optional<uint64_t> v = read(e->lhs->field);
+        if (!v) return std::nullopt;
+        return apply_cmp(e->cmp_op(), util::truncate(*v, e->lhs->width),
+                         e->rhs->value)
+                   ? 1
+                   : 0;
+      }
+      auto a = eval_with(e->lhs, read);
+      auto b = eval_with(e->rhs, read);
+      if (!a || !b) return std::nullopt;
+      return apply_cmp(e->cmp_op(), *a, *b) ? 1 : 0;
+    }
+    case ExprKind::kBool: {
+      auto a = eval_with(e->lhs, read);
+      if (e->bool_op() == BoolOp::kAnd) {
+        if (a && *a == 0) return 0;
+        auto b = eval_with(e->rhs, read);
+        if (b && *b == 0) return 0;
+        if (a && b) return 1;
+        return std::nullopt;
+      }
+      if (a && *a == 1) return 1;
+      auto b = eval_with(e->rhs, read);
+      if (b && *b == 1) return 1;
+      if (a && b) return 0;
+      return std::nullopt;
+    }
+    case ExprKind::kNot: {
+      auto a = eval_with(e->lhs, read);
+      if (!a) return std::nullopt;
+      return *a ? 0 : 1;
+    }
+  }
+  return std::nullopt;
+}
+
+// Evaluates `e` under `state`; fields absent from the state are unbound.
+inline std::optional<uint64_t> eval(ExprRef e, const ConcreteState& state) {
+  return eval_with(e, [&state](FieldId f) -> std::optional<uint64_t> {
+    auto it = state.find(f);
+    if (it == state.end()) return std::nullopt;
+    return it->second;
+  });
+}
 
 // Substitutes fields via `lookup` (return nullptr to keep a field symbolic),
 // rebuilding — and thereby re-simplifying — the expression in `arena`.

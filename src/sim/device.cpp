@@ -17,15 +17,7 @@ constexpr uint64_t kGarbage = 0xdeadbeefcafef00dull;
 }  // namespace
 
 void ExecArena::begin_packet(size_t nfields) {
-  if (++epoch_ == 0) {
-    // Epoch wrap: stamps written 2^32 packets ago could alias the fresh
-    // epoch, so refill once and restart from 1.
-    for (Cell& c : cells_) c.stamp = 0;
-    epoch_ = 1;
-  }
-  if (nfields > cells_.size()) {
-    cells_.resize(nfields);
-  }
+  state_.reset(nfields);
   trace_.clear();
   payload_off_ = 0;
   cur_instance_ = -1;
@@ -186,70 +178,13 @@ void Device::note(ExecArena& a, TraceEventKind kind, int16_t table,
   }
 }
 
-std::optional<uint64_t> Device::eval_expr(ir::ExprRef e,
-                                          const ExecArena& a) const {
-  switch (e->kind) {
-    case ir::ExprKind::kConst:
-    case ir::ExprKind::kBoolConst:
-      return e->value;
-    case ir::ExprKind::kField: {
-      if (!a.has(e->field)) return std::nullopt;
-      return util::truncate(a.cells_[e->field].value, e->width);
-    }
-    case ir::ExprKind::kArith: {
-      auto x = eval_expr(e->lhs, a);
-      auto y = eval_expr(e->rhs, a);
-      if (!x || !y) return std::nullopt;
-      return ir::apply_arith(e->arith_op(), *x, *y, e->width);
-    }
-    case ir::ExprKind::kCmp: {
-      // Fast path for the dominant guard shape, `field <op> const`
-      // (entry/edge guards, if-conditions): skip two recursion levels.
-      if (e->lhs->kind == ir::ExprKind::kField &&
-          e->rhs->kind == ir::ExprKind::kConst) {
-        if (!a.has(e->lhs->field)) return std::nullopt;
-        uint64_t x = util::truncate(a.cells_[e->lhs->field].value,
-                                    e->lhs->width);
-        return ir::apply_cmp(e->cmp_op(), x, e->rhs->value) ? 1 : 0;
-      }
-      auto x = eval_expr(e->lhs, a);
-      auto y = eval_expr(e->rhs, a);
-      if (!x || !y) return std::nullopt;
-      return ir::apply_cmp(e->cmp_op(), *x, *y) ? 1 : 0;
-    }
-    case ir::ExprKind::kBool: {
-      // Short-circuit exactly like ir::eval: partially-bound states still
-      // decide when possible.
-      auto x = eval_expr(e->lhs, a);
-      if (e->bool_op() == ir::BoolOp::kAnd) {
-        if (x && *x == 0) return 0;
-        auto y = eval_expr(e->rhs, a);
-        if (y && *y == 0) return 0;
-        if (x && y) return 1;
-        return std::nullopt;
-      }
-      if (x && *x == 1) return 1;
-      auto y = eval_expr(e->rhs, a);
-      if (y && *y == 1) return 1;
-      if (x && y) return 0;
-      return std::nullopt;
-    }
-    case ir::ExprKind::kNot: {
-      auto x = eval_expr(e->lhs, a);
-      if (!x) return std::nullopt;
-      return *x ? 0 : 1;
-    }
-  }
-  return std::nullopt;
-}
-
 int32_t Device::first_missing(ir::ExprRef e, const ExecArena& a) const {
   switch (e->kind) {
     case ir::ExprKind::kConst:
     case ir::ExprKind::kBoolConst:
       return -1;
     case ir::ExprKind::kField:
-      return a.has(e->field) ? -1 : static_cast<int32_t>(e->field);
+      return a.state_.has(e->field) ? -1 : static_cast<int32_t>(e->field);
     case ir::ExprKind::kNot:
       return first_missing(e->lhs, a);
     default: {
@@ -261,7 +196,7 @@ int32_t Device::first_missing(ir::ExprRef e, const ExecArena& a) const {
 }
 
 uint64_t Device::eval_or_zero(ir::ExprRef e, ExecArena& a) const {
-  auto v = eval_expr(e, a);
+  auto v = ir::eval(e, a.state_);
   if (v) return *v;
   // Reading an uninitialized field on hardware yields whatever the PHV
   // container holds; zero is the deterministic simulator choice. The
@@ -276,11 +211,11 @@ uint64_t Device::eval_or_zero(ir::ExprRef e, ExecArena& a) const {
 
 void Device::store(ir::FieldId f, uint64_t v, ExecArena& a) const {
   v = util::truncate(v, width_of(f));
-  a.set(f, v);
+  a.state_.set(f, v);
   if (f == prog_.overlap_writer && prog_.overlap_victim != ir::kInvalidField) {
     // Pragma-misuse fault (#15): the two fields share a container.
-    a.set(prog_.overlap_victim,
-          util::truncate(v, width_of(prog_.overlap_victim)));
+    a.state_.set(prog_.overlap_victim,
+                 util::truncate(v, width_of(prog_.overlap_victim)));
   }
 }
 
@@ -321,14 +256,14 @@ bool Device::parse(const DevInstance& inst, ExecArena& a) const {
         return false;
       }
       for (size_t i = 0; i < lay.fields.size(); ++i) {
-        a.set(lay.fields[i], get_bits(lay.widths[i]));
+        a.state_.set(lay.fields[i], get_bits(lay.widths[i]));
       }
-      a.set(lay.validity, 1);
+      a.state_.set(lay.validity, 1);
       note(a, TraceEventKind::kParseHeader, -1, static_cast<int32_t>(hidx));
     }
     int next = s.default_next;
     if (s.select != ir::kInvalidField) {
-      uint64_t sval = a.get_or_zero(s.select);
+      uint64_t sval = a.state_.get(s.select);
       for (const DevTransition& t : s.cases) {
         if ((sval & t.mask) == (t.value & t.mask)) {
           next = t.next;
@@ -363,7 +298,7 @@ void Device::run_op(const DevOp& op, ExecArena& a) const {
         int w = op.value->width;
         if (w < 64 && ((x + y) >> w) != 0) {
           ir::FieldId victim = prog_.carry_victim;
-          a.set(victim, a.get_or_zero(victim) ^ 1u);
+          a.state_.set(victim, a.state_.get(victim) ^ 1u);
         }
       }
       store(op.dest, v, a);
@@ -373,7 +308,7 @@ void Device::run_op(const DevOp& op, ExecArena& a) const {
       a.hash_vals_.clear();
       a.hash_widths_.clear();
       for (ir::FieldId k : op.keys) {
-        a.hash_vals_.push_back(a.get_or_zero(k));
+        a.hash_vals_.push_back(a.state_.get(k));
         a.hash_widths_.push_back(width_of(k));
       }
       store(op.dest,
@@ -400,7 +335,7 @@ void Device::apply_table(const DevInstance& inst, size_t table_idx,
   // rank tie kept install order via the stable sort).
   const size_t nkeys = t.keys.size();
   a.key_vals_.clear();
-  for (const DevKey& k : t.keys) a.key_vals_.push_back(a.get_or_zero(k.field));
+  for (const DevKey& k : t.keys) a.key_vals_.push_back(a.state_.get(k.field));
   const size_t ii = static_cast<size_t>(a.cur_instance_);
   const std::vector<int32_t>& order = entry_order_[ii][table_idx];
   const PreMatch* pre = pre_matches_[ii][table_idx].data();
@@ -458,11 +393,11 @@ void Device::deparse(const DevInstance& inst, ExecArena& a) const {
   const size_t ii = static_cast<size_t>(a.cur_instance_);
   for (size_t ci = 0; ci < inst.checksums.size(); ++ci) {
     const DevChecksum& c = inst.checksums[ci];
-    if (a.get_or_zero(csum_guards_[ii][ci]) == 0) continue;
+    if (a.state_.get(csum_guards_[ii][ci]) == 0) continue;
     a.hash_vals_.clear();
     a.hash_widths_.clear();
     for (ir::FieldId f : c.sources) {
-      a.hash_vals_.push_back(a.get_or_zero(f));
+      a.hash_vals_.push_back(a.state_.get(f));
       a.hash_widths_.push_back(width_of(f));
     }
     store(c.dest,
@@ -475,10 +410,10 @@ void Device::deparse(const DevInstance& inst, ExecArena& a) const {
   w.reset(std::move(a.emit_buf_));
   const std::vector<EmitSlot>& slots = emits_[ii];
   for (size_t si = 0; si < slots.size(); ++si) {
-    if (a.get_or_zero(slots[si].validity) == 0) continue;
+    if (a.state_.get(slots[si].validity) == 0) continue;
     const HeaderLayout& lay = headers_[static_cast<size_t>(slots[si].header)];
     for (size_t i = 0; i < lay.fields.size(); ++i) {
-      w.put(a.get_or_zero(lay.fields[i]), lay.widths[i]);
+      w.put(a.state_.get(lay.fields[i]), lay.widths[i]);
     }
     note(a, TraceEventKind::kEmitHeader, -1, static_cast<int32_t>(si));
   }
@@ -490,13 +425,13 @@ void Device::deparse(const DevInstance& inst, ExecArena& a) const {
 
 void Device::run_instance(const DevInstance& inst, ExecArena& a) const {
   // Fresh per-pipe view of header validity.
-  for (const HeaderLayout& h : headers_) a.set(h.validity, 0);
+  for (const HeaderLayout& h : headers_) a.state_.set(h.validity, 0);
   if (!parse(inst, a)) {
     a.dropped_ = true;
     return;
   }
   run_block(inst, inst.control, a);
-  if (a.get_or_zero(drop_fid_) != 0) {
+  if (a.state_.get(drop_fid_) != 0) {
     note(a, TraceEventKind::kDropped);
     a.dropped_ = true;
     return;
@@ -509,11 +444,11 @@ void Device::run_one(const DeviceInput& in, DeviceOutput& out, ExecArena& a) {
   if (a.coverage != nullptr) a.coverage->boundary();
   a.wire_.assign(in.bytes.begin(), in.bytes.end());
   // Installed register snapshot, then intrinsics & metadata.
-  for (auto& [f, v] : registers_flat_) a.set(f, v);
-  a.set(port_fid_, util::truncate(in.port, p4::kPortWidth));
-  for (auto& [f, v] : metadata_init_) a.set(f, v);
-  a.set(drop_fid_, 0);
-  a.set(egspec_fid_, 0);
+  for (auto& [f, v] : registers_flat_) a.state_.set(f, v);
+  a.state_.set(port_fid_, util::truncate(in.port, p4::kPortWidth));
+  for (auto& [f, v] : metadata_init_) a.state_.set(f, v);
+  a.state_.set(drop_fid_, 0);
+  a.state_.set(egspec_fid_, 0);
 
   out.accepted = true;
   out.dropped = false;
@@ -556,7 +491,7 @@ void Device::run_one(const DeviceInput& in, DeviceOutput& out, ExecArena& a) {
     cur = next;
   }
   out.dropped = false;
-  out.port = a.get_or_zero(egspec_fid_);
+  out.port = a.state_.get(egspec_fid_);
   out.bytes.assign(a.wire_.begin(), a.wire_.end());
   out.trace.assign(a.trace_.begin(), a.trace_.end());
 }

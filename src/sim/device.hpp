@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/dense.hpp"
 #include "ir/stmt.hpp"
 #include "p4/program.hpp"
 #include "p4/rules.hpp"
@@ -203,15 +204,8 @@ class ExecArena {
  private:
   friend class Device;
 
-  // Dense epoch-stamped field store: cells_[f].value is live iff
-  // cells_[f].stamp == epoch_, so per-packet reset is one counter bump.
-  // Value and stamp share a cell so a field access touches one cache line.
-  struct Cell {
-    uint64_t value = 0;
-    uint32_t stamp = 0;
-  };
-  std::vector<Cell> cells_;
-  uint32_t epoch_ = 0;
+  // Field values of the packet in flight; unset fields are unbound.
+  ir::DenseState state_;
 
   std::vector<uint8_t> wire_;      // current wire bytes (re-written per pipe)
   size_t payload_off_ = 0;         // unparsed tail of the current pipe
@@ -225,17 +219,6 @@ class ExecArena {
   bool dropped_ = false;
 
   void begin_packet(size_t nfields);
-
-  bool has(ir::FieldId f) const noexcept {
-    return f < cells_.size() && cells_[f].stamp == epoch_;
-  }
-  uint64_t get_or_zero(ir::FieldId f) const noexcept {
-    return has(f) ? cells_[f].value : 0;
-  }
-  void set(ir::FieldId f, uint64_t v) noexcept {
-    cells_[f].value = v;
-    cells_[f].stamp = epoch_;
-  }
 };
 
 class Device {
@@ -294,9 +277,6 @@ class Device {
                    ExecArena& a) const;
   void deparse(const DevInstance& inst, ExecArena& a) const;
 
-  // Mirrors ir::eval over the arena's dense state (including the boolean
-  // short-circuit rules), without building a ConcreteState.
-  std::optional<uint64_t> eval_expr(ir::ExprRef e, const ExecArena& a) const;
   // Unevaluable expressions coerce to 0 (the deterministic stand-in for
   // whatever the PHV container holds); the coercion is counted in the
   // `sim.eval_fallbacks` metric and leaves a kEvalFallback trace event

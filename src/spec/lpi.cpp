@@ -257,7 +257,7 @@ class LpiParser {
     return leaf_for(expect(Token::Kind::kIdent).text);
   }
 
-  int precedence(const std::string& op) {
+  static int precedence(std::string_view op) {
     if (op == "||") return 1;
     if (op == "&&") return 2;
     if (op == "==" || op == "!=" || op == "<" || op == "<=" || op == ">" ||
@@ -285,16 +285,14 @@ class LpiParser {
     if (op == "<=") return ctx_.arena.cmp(ir::CmpOp::kLe, a, b);
     if (op == ">") return ctx_.arena.cmp(ir::CmpOp::kGt, a, b);
     if (op == ">=") return ctx_.arena.cmp(ir::CmpOp::kGe, a, b);
-    ir::ArithOp aop;
-    if (op == "+") aop = ir::ArithOp::kAdd;
-    else if (op == "-") aop = ir::ArithOp::kSub;
-    else if (op == "&") aop = ir::ArithOp::kAnd;
-    else if (op == "|") aop = ir::ArithOp::kOr;
-    else if (op == "^") aop = ir::ArithOp::kXor;
-    else if (op == "<<") aop = ir::ArithOp::kShl;
-    else if (op == ">>") aop = ir::ArithOp::kShr;
-    else fail("unknown operator '" + op + "'");
-    return ctx_.arena.arith(aop, a, b);
+    if (op == "+") return ctx_.arena.arith(ir::ArithOp::kAdd, a, b);
+    if (op == "-") return ctx_.arena.arith(ir::ArithOp::kSub, a, b);
+    if (op == "&") return ctx_.arena.arith(ir::ArithOp::kAnd, a, b);
+    if (op == "|") return ctx_.arena.arith(ir::ArithOp::kOr, a, b);
+    if (op == "^") return ctx_.arena.arith(ir::ArithOp::kXor, a, b);
+    if (op == "<<") return ctx_.arena.arith(ir::ArithOp::kShl, a, b);
+    if (op == ">>") return ctx_.arena.arith(ir::ArithOp::kShr, a, b);
+    fail("unknown operator '" + op + "'");
   }
 
   ir::ExprRef parse_expr(int width_hint = 0) {

@@ -85,7 +85,7 @@ void seed_from_templates(fuzz::Fuzzer& fuzzer, ir::Context& ctx,
   opts.seed = seed;
   driver::Meissa meissa(ctx, dp, rules, opts);
   std::vector<sym::TestCaseTemplate> templates = meissa.generate();
-  driver::Sender sender(ctx, dp, meissa.graph(), seed);
+  driver::Sender sender(ctx, dp, meissa.graph());
   size_t added = 0;
   for (const sym::TestCaseTemplate& t : templates) {
     if (added >= kMaxTemplateSeeds) break;

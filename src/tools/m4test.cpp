@@ -13,7 +13,9 @@
 //   --json            machine-readable report (TestReport::to_json)
 //   --templates       generation only: print each template, skip the device
 //   --threads N       worker threads for summary + DFS (0 = hardware)
-//   --seed N          concretization seed (default 1)
+//   --seed N          TestRunOptions::seed (default 1): keys only the
+//                     flaky-link backoff jitter, so reports do not
+//                     depend on it
 //   --metrics FILE    enable the metrics registry; write snapshot to FILE
 //   --trace FILE      enable span tracing; write Chrome trace JSON to FILE
 //   --validate-summary  prove the code-summary transform sound before

@@ -2,6 +2,9 @@
 // computation, hash-obligation filtering, reports, and traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "apps/apps.hpp"
 #include "driver/tester.hpp"
 #include "sim/toolchain.hpp"
 #include "testlib.hpp"
@@ -43,6 +46,110 @@ TEST_F(SenderTest, ConcretizesEveryTemplate) {
   }
   EXPECT_EQ(made, templates.size());
   EXPECT_EQ(sender.removed_by_hash(), 0u);
+}
+
+// FNV-1a over everything a concretized case hands to the device and the
+// checker, in template order.
+struct CaseDigest {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  uint64_t removed_by_hash = 0;
+  uint64_t hash_repair_attempts = 0;
+
+  void byte(uint8_t b) {
+    hash ^= b;
+    hash *= 0x100000001b3ull;
+  }
+  void u64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void bytes(const std::vector<uint8_t>& bs) {
+    u64(bs.size());
+    for (uint8_t b : bs) byte(b);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    for (char c : s) byte(static_cast<uint8_t>(c));
+  }
+};
+
+CaseDigest concretize_digest(ir::Context& ctx, const apps::AppBundle& app,
+                             const GenOptions& opts) {
+  Generator gen(ctx, app.dp, app.rules, opts);
+  std::vector<sym::TestCaseTemplate> templates = gen.generate();
+  Sender sender(ctx, app.dp, gen.graph());
+  CaseDigest d;
+  for (const sym::TestCaseTemplate& t : templates) {
+    std::optional<TestCase> tc = sender.concretize(t, gen.engine());
+    if (!tc) continue;
+    d.u64(tc->case_id);
+    d.u64(tc->input.port);
+    d.bytes(tc->input.bytes);
+    std::vector<std::pair<std::string, uint64_t>> regs;
+    for (const auto& [f, v] : tc->registers) {
+      regs.emplace_back(ctx.fields.name(f), v);
+    }
+    std::sort(regs.begin(), regs.end());
+    d.u64(regs.size());
+    for (const auto& [name, v] : regs) {
+      d.str(name);
+      d.u64(v);
+    }
+    d.byte(tc->expect_drop ? 1 : 0);
+    d.u64(tc->expect_port);
+    d.bytes(tc->expect_bytes);
+  }
+  d.removed_by_hash = sender.removed_by_hash();
+  d.hash_repair_attempts = sender.hash_repair_attempts();
+  return d;
+}
+
+struct PinnedDigest {
+  uint64_t hash;
+  uint64_t removed_by_hash;
+  uint64_t hash_repair_attempts;
+};
+
+void expect_digest(const CaseDigest& d, const PinnedDigest& want,
+                   const std::string& what) {
+  EXPECT_EQ(d.hash, want.hash) << what;
+  EXPECT_EQ(d.removed_by_hash, want.removed_by_hash) << what;
+  EXPECT_EQ(d.hash_repair_attempts, want.hash_repair_attempts) << what;
+}
+
+// Pins every concretized case of gw-1..gw-4 (m4test's rule sets), so a
+// change to how the sender builds its concrete state cannot silently
+// change a packet, a register install or an expected output.
+TEST(SenderDigest, GatewayCasesArePinned) {
+  const PinnedDigest want[4] = {
+      {0x522a68b6effc5441ull, 0, 306},
+      {0x998323138af0c649ull, 0, 170},
+      {0xe7f511213ab91c8dull, 0, 170},
+      {0xab5d1e7baf9680c5ull, 0, 170},
+  };
+  for (int level = 1; level <= 4; ++level) {
+    ir::Context ctx;
+    apps::GwConfig cfg;
+    cfg.level = level;
+    cfg.elastic_ips = 4;
+    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    expect_digest(concretize_digest(ctx, app, {}), want[level - 1],
+                  "gw-" + std::to_string(level));
+  }
+}
+
+// Table-2 scenario 6 with its gateway's statistics register pinned by a
+// generation-time assume: every model then assigns the register cell, so
+// every case carries a register install.
+TEST(SenderDigest, RegisterInstallingBugCasesArePinned) {
+  ir::Context ctx;
+  apps::BugScenario bug = apps::make_bug(ctx, 6);
+  ir::FieldId reg = ctx.fields.require(p4::register_field("gw_stats", 0));
+  GenOptions opts;
+  opts.assumes.push_back(ctx.arena.cmp(ir::CmpOp::kEq,
+                                       ctx.arena.field(reg, 32),
+                                       ctx.arena.constant(7, 32)));
+  expect_digest(concretize_digest(ctx, bug.bundle, opts),
+                {0x51ad9b85dd7cfd6aull, 0, 170}, "bug-6");
 }
 
 TEST_F(SenderTest, ExpectedOutputsMatchTheDevice) {
@@ -125,6 +232,47 @@ TEST(TraceTest, SymbolicTraceShowsValuesAndVerdicts) {
   std::string truncated = symbolic_trace(ctx, g, out->path, in, 2);
   EXPECT_NE(truncated.find("truncated"), std::string::npos);
 }
+
+// A case's input_state holds only its model; symbolic_trace completes it
+// with zeros, so a failure report renders exactly as it would from the
+// fully completed state the sender replayed. Scenarios 1 and 4 read
+// fields their models leave unset, so their traces depend on that
+// completion.
+class SparseTrace : public ::testing::TestWithParam<int> {};
+
+TEST_P(SparseTrace, RendersLikeTheZeroCompletedState) {
+  ir::Context ctx;
+  apps::BugScenario bug = apps::make_bug(ctx, GetParam());
+  Generator gen(ctx, bug.bundle.dp, bug.bundle.rules, GenOptions{});
+  std::vector<sym::TestCaseTemplate> templates = gen.generate();
+  Sender sender(ctx, bug.bundle.dp, gen.graph());
+  sim::Device device(
+      sim::compile(bug.bundle.dp, bug.bundle.rules, ctx, bug.fault), ctx);
+  size_t failing = 0;
+  for (const sym::TestCaseTemplate& t : templates) {
+    std::optional<TestCase> tc = sender.concretize(t, gen.engine());
+    ASSERT_TRUE(tc.has_value());
+    device.set_registers(tc->registers);
+    sim::DeviceOutput out = device.inject(tc->input);
+    if (check_case(ctx, bug.bundle.dp.program, *tc, out, bug.bundle.intents)
+            .pass) {
+      continue;
+    }
+    ++failing;
+    EXPECT_LT(tc->input_state.size(), ctx.fields.size());
+    ir::ConcreteState complete = tc->input_state;
+    for (ir::FieldId f = 0; f < ctx.fields.size(); ++f) {
+      complete.try_emplace(f, 0);
+    }
+    std::string sparse = symbolic_trace(ctx, gen.graph(), t.path,
+                                        tc->input_state, 200);
+    EXPECT_FALSE(sparse.empty());
+    EXPECT_EQ(sparse, symbolic_trace(ctx, gen.graph(), t.path, complete, 200));
+  }
+  EXPECT_GT(failing, 0u) << "the scenario should fail at least one case";
+}
+
+INSTANTIATE_TEST_SUITE_P(Bugs, SparseTrace, ::testing::Values(1, 3, 4));
 
 TEST(GeneratorTest, MaxTemplatesAndAssumesCompose) {
   ir::Context ctx;

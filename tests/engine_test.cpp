@@ -55,8 +55,9 @@ TEST_F(Fig7Engine, EveryModelDrivesItsOwnPath) {
     ir::ConcreteState s;
     for (auto& [f, v] : *model) s[f] = v;
     for (ir::FieldId f = 0; f < ctx.fields.size(); ++f) s.try_emplace(f, 0);
-    auto end = cfg::eval_path(g, r.path, s, ctx);
-    EXPECT_TRUE(end.has_value()) << "model did not drive its path";
+    ir::DenseState end = testlib::dense(s, ctx);
+    EXPECT_TRUE(cfg::eval_path(g, r.path, end, ctx))
+        << "model did not drive its path";
     // And the concrete interpreter reaches the same terminal.
     auto out = testlib::concrete_run(g, s, ctx);
     ASSERT_TRUE(out.has_value());
@@ -183,7 +184,8 @@ TEST_F(Fig8Engine, CrossPipelineInvalidCombinationsArePruned) {
     ir::ConcreteState s;
     for (auto& [f, v] : *model) s[f] = v;
     for (ir::FieldId f = 0; f < ctx.fields.size(); ++f) s.try_emplace(f, 0);
-    EXPECT_TRUE(cfg::eval_path(g, r.path, s, ctx).has_value());
+    ir::DenseState d = testlib::dense(s, ctx);
+    EXPECT_TRUE(cfg::eval_path(g, r.path, d, ctx));
   }
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for the expression arena: hash-consing, folding, evaluation,
-// and substitution.
+// and substitution; and for the dense concrete state.
 #include <gtest/gtest.h>
 
+#include "ir/dense.hpp"
 #include "ir/stmt.hpp"
 #include "util/rng.hpp"
 
@@ -171,6 +172,94 @@ TEST_F(ExprTest, PropertyFoldingMatchesEvaluation) {
     auto ev = eval(d, s);
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(*ev, direct(d, direct));
+  }
+}
+
+// ------------------------------------------------------------- DenseState
+
+TEST_F(ExprTest, DenseStateUnsetReadsZeroOnlyBelowTheZeroLimit) {
+  FieldId a = ctx.fields.intern("a", 8);
+  FieldId b = ctx.fields.intern("b", 8);
+  FieldId c = ctx.fields.intern("c", 8);
+  DenseState s;
+  s.reset(ctx.fields.size(), b + 1);  // a and b read 0; c is unbound
+  EXPECT_EQ(s.find(a), std::optional<uint64_t>(0));
+  EXPECT_EQ(s.find(b), std::optional<uint64_t>(0));
+  EXPECT_TRUE(s.has(b));
+  EXPECT_EQ(s.find(c), std::nullopt);
+  EXPECT_FALSE(s.has(c));
+  EXPECT_EQ(s.get(c), 0u);
+  ExprRef sum = ctx.arena.arith(ArithOp::kAdd, ctx.var(a), ctx.var(c));
+  EXPECT_EQ(eval(sum, s), std::nullopt);
+  s.set(c, 5);
+  EXPECT_EQ(eval(sum, s), std::optional<uint64_t>(5));
+  // Limit 0: every unset field is unbound.
+  s.reset(ctx.fields.size());
+  EXPECT_EQ(s.find(a), std::nullopt);
+  EXPECT_FALSE(s.has(a));
+}
+
+TEST_F(ExprTest, DenseStateResetForgetsEarlierWrites) {
+  FieldId a = ctx.fields.intern("a", 8);
+  FieldId b = ctx.fields.intern("b", 8);
+  DenseState s;
+  s.reset(ctx.fields.size());
+  s.set(a, 7);
+  s.set(b, 9);
+  s.reset(ctx.fields.size());
+  EXPECT_EQ(s.find(a), std::nullopt);
+  s.set(b, 3);
+  EXPECT_EQ(s.find(b), std::optional<uint64_t>(3));
+  // Below the zero limit a forgotten write reads 0, not its old value.
+  s.reset(ctx.fields.size(), ctx.fields.size());
+  EXPECT_EQ(s.find(a), std::optional<uint64_t>(0));
+  EXPECT_EQ(s.find(b), std::optional<uint64_t>(0));
+}
+
+TEST_F(ExprTest, DenseStateGrowsForFieldsInternedAfterAReset) {
+  ctx.fields.intern("a", 8);
+  DenseState s;
+  s.reset(ctx.fields.size(), ctx.fields.size());
+  const size_t before = s.size();
+  FieldId late = ctx.fields.intern("late", 16);
+  FieldId later = ctx.fields.intern("later", 16);
+  ASSERT_GE(later, before);
+  EXPECT_EQ(s.find(later), std::nullopt);  // above the limit: unbound
+  s.set(later, 0xbeef);
+  EXPECT_GT(s.size(), before);
+  EXPECT_EQ(s.find(later), std::optional<uint64_t>(0xbeef));
+  EXPECT_EQ(s.find(late), std::nullopt);  // grown past, never written
+}
+
+// Property: the evaluator reads a dense state and a map the same way,
+// including the short-circuit rules over partially-bound states.
+TEST_F(ExprTest, PropertyDenseAndMapEvaluationAgree) {
+  util::Rng rng(7);
+  const FieldId fs[] = {ctx.fields.intern("p", 8), ctx.fields.intern("q", 8),
+                        ctx.fields.intern("r", 8)};
+  DenseState d;
+  for (int i = 0; i < 500; ++i) {
+    ConcreteState m;
+    d.reset(ctx.fields.size());
+    for (FieldId f : fs) {
+      if (rng.chance(2, 3)) {
+        m[f] = rng.bits(8);
+        d.set(f, m[f]);
+      }
+    }
+    auto leaf = [&]() -> ExprRef {
+      return rng.chance(1, 3) ? ctx.arena.constant(rng.bits(8), 8)
+                              : ctx.var(fs[rng.below(3)]);
+    };
+    const CmpOp cmps[] = {CmpOp::kEq, CmpOp::kLt, CmpOp::kGe};
+    auto pred = [&]() -> ExprRef {
+      return ctx.arena.cmp(cmps[rng.below(3)],
+                           ctx.arena.arith(ArithOp::kXor, leaf(), leaf()),
+                           leaf());
+    };
+    ExprRef e = rng.chance(1, 2) ? ctx.arena.band(pred(), pred())
+                                 : ctx.arena.bor(pred(), ctx.arena.bnot(pred()));
+    EXPECT_EQ(eval(e, d), eval(e, m));
   }
 }
 

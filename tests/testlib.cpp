@@ -22,33 +22,41 @@ std::optional<ConcreteOutcome> concrete_run(const cfg::Cfg& g,
                                             ir::ConcreteState initial,
                                             const ir::Context& ctx) {
   // Backtracking walk: at forks, try successors in order; commit to the
-  // first that completes. Statement evaluation mirrors cfg::eval_path.
+  // first that completes. Each node steps through cfg::eval_path, on a
+  // copy of the state so a failed branch leaves its parent's intact.
   std::optional<ConcreteOutcome> result;
   cfg::Path path;
-  auto walk = [&](auto&& self, cfg::NodeId id, ir::ConcreteState s) -> bool {
+  auto walk = [&](auto&& self, cfg::NodeId id, ir::DenseState s) -> bool {
     const cfg::Node& n = g.node(id);
-    cfg::Path one{id};
-    auto after = cfg::eval_path(g, one, std::move(s), ctx);
-    if (!after) return false;
+    if (!cfg::eval_path(g, {id}, s, ctx)) return false;
     path.push_back(id);
     if (n.succ.empty()) {
       ConcreteOutcome out;
       out.terminal = id;
       out.exit = n.exit;
       out.emit_instance = n.emit_instance;
-      out.state = *after;
+      for (ir::FieldId f = 0; f < s.size(); ++f) {
+        if (auto v = s.find(f)) out.state[f] = *v;
+      }
       out.path = path;
       result = out;
       return true;
     }
     for (cfg::NodeId succ : n.succ) {
-      if (self(self, succ, *after)) return true;
+      if (self(self, succ, s)) return true;
     }
     path.pop_back();
     return false;
   };
-  walk(walk, g.entry(), std::move(initial));
+  walk(walk, g.entry(), dense(initial, ctx));
   return result;
+}
+
+ir::DenseState dense(const ir::ConcreteState& s, const ir::Context& ctx) {
+  ir::DenseState d;
+  d.reset(ctx.fields.size());
+  d.load(s);
+  return d;
 }
 
 std::vector<ir::FieldId> random_cfg_fields(ir::Context& ctx) {

@@ -44,6 +44,10 @@ std::optional<ConcreteOutcome> concrete_run(const cfg::Cfg& g,
                                             ir::ConcreteState initial,
                                             const ir::Context& ctx);
 
+// `s` as a dense state sized to the context's fields; fields `s` does not
+// assign stay unbound.
+ir::DenseState dense(const ir::ConcreteState& s, const ir::Context& ctx);
+
 // Random multi-pipeline CFG for property tests: `k` pipeline instances in
 // a chain, each a DAG of assume/assign diamonds over a small field set.
 cfg::Cfg random_pipeline_cfg(ir::Context& ctx, util::Rng& rng, int k,
