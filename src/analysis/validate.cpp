@@ -171,7 +171,7 @@ class PipelineValidator {
     return d;
   }
 
-  // --- Pre-condition (mirrors summary::summarize's explore phase) --------
+  // --- Pre-condition ----------------------------------------------------
 
   void compute_precondition() {
     summary::PreCondition pc;
@@ -179,50 +179,14 @@ class PipelineValidator {
       // The region reaching this entry consists of earlier-wave pipelines
       // only (instance_deps orders the waves), so the final summarized
       // graph shows exactly what the summarizer's own enumeration saw.
-      std::optional<summary::PreCondition> exact =
-          summary::compute_precondition_by_enumeration(
-              ctx_, summ_, info_.entry, opts_.summary.max_precondition_paths,
-              &pv_.smt_checks, "pre." + info_.name,
-              opts_.summary.static_pruning, nullptr);
-      pc = exact ? std::move(*exact)
-                 : summary::compute_precondition(ctx_, summ_, info_.entry);
+      pc = summary::compute_precondition(ctx_, summ_, info_.entry,
+                                         &pv_.smt_checks, "pre." + info_.name,
+                                         opts_.summary.static_pruning);
     }
-
-    auto by_name = [&](ir::FieldId a, ir::FieldId b) {
-      return ctx_.fields.name(a) < ctx_.fields.name(b);
-    };
-    auto seed = [&](ir::FieldId f) {
-      const int w = ctx_.fields.width(f);
-      const ir::FieldId at = ctx_.fields.intern(
-          "@" + ctx_.fields.name(f) + "@" + info_.name, w);
-      ir::ExprRef at_var = ctx_.arena.field(at, w);
-      seeds_.emplace(f, at_var);
-      return at_var;
-    };
-
-    for (ir::ExprRef c : pc.conds) base_.push_back(c);
-    std::vector<ir::FieldId> tops(pc.tops.begin(), pc.tops.end());
-    std::sort(tops.begin(), tops.end(), by_name);
-    for (ir::FieldId f : tops) {
-      ir::ExprRef at_var = seed(f);
-      auto vs = pc.value_sets.find(f);
-      if (vs != pc.value_sets.end()) {
-        std::vector<ir::ExprRef> eqs;
-        for (uint64_t v : vs->second) {
-          eqs.push_back(ctx_.arena.cmp(
-              ir::CmpOp::kEq, at_var,
-              ctx_.arena.constant(v, ctx_.fields.width(f))));
-        }
-        base_.push_back(ctx_.arena.any_of(eqs));
-      }
-    }
-    std::vector<ir::FieldId> known;
-    known.reserve(pc.values.size());
-    for (const auto& [f, v] : pc.values) known.push_back(f);
-    std::sort(known.begin(), known.end(), by_name);
-    for (ir::FieldId f : known) {
-      ir::ExprRef at_var = seed(f);
-      base_.push_back(ctx_.arena.cmp(ir::CmpOp::kEq, at_var, pc.values.at(f)));
+    summary::EntryState es = summary::entry_state(ctx_, pc, info_.name);
+    base_ = std::move(es.constraints);
+    for (const auto& [at, f] : es.snapshots) {
+      seeds_.emplace(f, ctx_.arena.field(at, ctx_.fields.width(at)));
     }
   }
 

@@ -123,8 +123,8 @@ struct ValidateOptions {
   // reported, never silently passed).
   uint64_t max_walk_paths = 1u << 17;
   // Mirrors the SummaryOptions the summarize() call used, so the validator
-  // re-derives public pre-conditions the same way (enumeration limit,
-  // dataflow fallback, static pruning).
+  // re-derives public pre-conditions the same way (filtering on/off,
+  // static pruning).
   summary::SummaryOptions summary;
 };
 

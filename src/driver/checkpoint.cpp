@@ -483,7 +483,6 @@ uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
   h = key_u64(h, opts.smt_budget.max_propagations);
   h = key_u64(h, opts.smt_budget.max_wall_ms);
   h = key_u64(h, opts.summary.precondition_filtering ? 1 : 0);
-  h = key_u64(h, opts.summary.max_precondition_paths);
   h = key_u64(h, opts.assumes.size());
   for (ir::ExprRef a : opts.assumes) {
     h = key_str(h, ir::to_string(a, ctx.fields));

@@ -24,207 +24,16 @@ void sort_fields_by_name(std::vector<ir::FieldId>& fs,
   });
 }
 
-// Dataflow state: C as a set for O(1) intersection, V/tops as in
-// PreCondition. `reached` distinguishes "no path reaches this node yet"
-// (bottom) from "reachable with empty knowledge".
-struct FlowState {
-  bool reached = false;
-  std::unordered_set<ir::ExprRef> conds;
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;
-  std::unordered_set<ir::FieldId> tops;
-};
-
-// Symbolic value of `f` in a flow state: explicit binding, TOP, or the
-// input symbol itself.
-ir::ExprRef flow_value(const FlowState& s, ir::Context& ctx, ir::FieldId f) {
-  auto it = s.values.find(f);
-  if (it != s.values.end()) return it->second;
-  if (s.tops.count(f)) return nullptr;  // TOP
-  return ctx.var(f);
-}
-
-void meet_into(FlowState& a, const FlowState& b, ir::Context& ctx) {
-  if (!b.reached) return;
-  if (!a.reached) {
-    a = b;
-    return;
-  }
-  // C: intersection.
-  for (auto it = a.conds.begin(); it != a.conds.end();) {
-    it = b.conds.count(*it) ? std::next(it) : a.conds.erase(it);
-  }
-  // V: fields known to either side must agree, else TOP.
-  std::vector<ir::FieldId> interesting;
-  for (const auto& [f, v] : a.values) interesting.push_back(f);
-  for (ir::FieldId f : a.tops) interesting.push_back(f);
-  for (const auto& [f, v] : b.values) interesting.push_back(f);
-  for (ir::FieldId f : b.tops) interesting.push_back(f);
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;
-  std::unordered_set<ir::FieldId> tops;
-  for (ir::FieldId f : interesting) {
-    if (tops.count(f) || values.count(f)) continue;
-    ir::ExprRef va = flow_value(a, ctx, f);
-    ir::ExprRef vb = flow_value(b, ctx, f);
-    if (va == nullptr || vb == nullptr || va != vb) {
-      tops.insert(f);
-    } else if (va != ctx.var(f)) {
-      values.emplace(f, va);
-    }
-  }
-  a.values = std::move(values);
-  a.tops = std::move(tops);
-}
-
-// Transfer function for one node.
-void transfer(FlowState& s, const cfg::Node& n, ir::Context& ctx) {
-  auto subst_known = [&](ir::ExprRef e) -> ir::ExprRef {
-    // Substitute V; nullptr result when any referenced field is TOP.
-    std::unordered_set<ir::FieldId> fs;
-    ir::collect_fields(e, fs);
-    for (ir::FieldId f : fs) {
-      if (s.tops.count(f)) return nullptr;
-    }
-    return ir::substitute(e, ctx.arena, [&](ir::FieldId f, int) {
-      auto it = s.values.find(f);
-      return it != s.values.end() ? it->second : nullptr;
-    });
-  };
-  if (n.is_hash) {
-    s.values.erase(n.hash.dest);
-    s.tops.insert(n.hash.dest);
-    return;
-  }
-  switch (n.stmt.kind) {
-    case ir::StmtKind::kNop:
-      return;
-    case ir::StmtKind::kAssign: {
-      ir::ExprRef v = subst_known(n.stmt.expr);
-      if (v == nullptr) {
-        s.values.erase(n.stmt.target);
-        s.tops.insert(n.stmt.target);
-      } else {
-        s.tops.erase(n.stmt.target);
-        if (v == ctx.var(n.stmt.target)) {
-          s.values.erase(n.stmt.target);
-        } else {
-          s.values[n.stmt.target] = v;
-        }
-      }
-      return;
-    }
-    case ir::StmtKind::kAssume: {
-      ir::ExprRef c = subst_known(n.stmt.expr);
-      if (c != nullptr && c->is_false()) {
-        // Constant-infeasible branch: no valid path continues through it,
-        // so it must not weaken the meet (Algorithm 2 intersects over
-        // *valid* paths only).
-        s.reached = false;
-        return;
-      }
-      if (c != nullptr && !c->is_true()) s.conds.insert(c);
-      return;
-    }
-  }
-}
-
-// Nodes from which `target` is reachable, and their predecessors within
-// that set.
-struct Region {
-  std::unordered_set<cfg::NodeId> nodes;
-  std::unordered_map<cfg::NodeId, std::vector<cfg::NodeId>> preds;
-  std::vector<cfg::NodeId> topo;  // topological order, entry first
-};
-
-Region region_reaching(const cfg::Cfg& g, cfg::NodeId target) {
-  // Reverse reachability over the predecessor relation.
-  std::unordered_map<cfg::NodeId, std::vector<cfg::NodeId>> all_preds;
-  for (cfg::NodeId id = 0; id < g.size(); ++id) {
-    for (cfg::NodeId s : g.node(id).succ) all_preds[s].push_back(id);
-  }
-  Region r;
-  std::vector<cfg::NodeId> work{target};
-  r.nodes.insert(target);
-  while (!work.empty()) {
-    cfg::NodeId cur = work.back();
-    work.pop_back();
-    for (cfg::NodeId p : all_preds[cur]) {
-      if (r.nodes.insert(p).second) work.push_back(p);
-    }
-  }
-  for (cfg::NodeId id : r.nodes) {
-    for (cfg::NodeId p : all_preds[id]) {
-      if (r.nodes.count(p)) r.preds[id].push_back(p);
-    }
-  }
-  // Kahn topological order within the region (edges restricted to region,
-  // and not leaving `target`).
-  std::unordered_map<cfg::NodeId, size_t> indeg;
-  for (cfg::NodeId id : r.nodes) indeg[id] = r.preds[id].size();
-  std::vector<cfg::NodeId> ready;
-  for (auto& [id, d] : indeg) {
-    if (d == 0) ready.push_back(id);
-  }
-  while (!ready.empty()) {
-    cfg::NodeId cur = ready.back();
-    ready.pop_back();
-    r.topo.push_back(cur);
-    if (cur == target) continue;
-    for (cfg::NodeId s : g.node(cur).succ) {
-      if (!r.nodes.count(s)) continue;
-      if (--indeg[s] == 0) ready.push_back(s);
-    }
-  }
-  util::check(r.topo.size() == r.nodes.size(),
-              "region_reaching: cyclic region");
-  return r;
-}
-
 }  // namespace
 
 PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
-                                  cfg::NodeId target) {
-  Region region = region_reaching(g, target);
-  std::unordered_map<cfg::NodeId, FlowState> in;
-  for (cfg::NodeId id : region.topo) {
-    FlowState state;
-    if (id == g.entry()) {
-      state.reached = true;
-    }
-    for (cfg::NodeId p : region.preds[id]) {
-      // OUT(p) = transfer(p, IN(p)); compute lazily per edge.
-      FlowState out = in[p];
-      if (out.reached) transfer(out, g.node(p), ctx);
-      meet_into(state, out, ctx);
-    }
-    in[id] = std::move(state);
-  }
-  FlowState& t = in[target];
-  PreCondition pc;
-  if (!t.reached) {
-    // Unreachable pipeline: an impossible pre-condition prunes everything.
-    pc.conds.push_back(ctx.arena.bool_const(false));
-    return pc;
-  }
-  pc.conds.assign(t.conds.begin(), t.conds.end());
-  // The set iterates in pointer order, which varies with interning order;
-  // sort by rendering for a scheduling-independent result.
-  std::sort(pc.conds.begin(), pc.conds.end(),
-            [&](ir::ExprRef a, ir::ExprRef b) {
-              return ir::to_string(a, ctx.fields) < ir::to_string(b, ctx.fields);
-            });
-  pc.values = std::move(t.values);
-  pc.tops = std::move(t.tops);
-  return pc;
-}
-
-std::optional<PreCondition> compute_precondition_by_enumeration(
-    ir::Context& ctx, const cfg::Cfg& g, cfg::NodeId target,
-    size_t path_limit, uint64_t* smt_checks, const std::string& fresh_ns,
-    bool static_pruning, uint64_t* smt_skipped,
-    const util::CancelToken* cancel, smt::PathCondCache* shared_pc_cache) {
+                                  cfg::NodeId target, uint64_t* smt_checks,
+                                  const std::string& fresh_ns,
+                                  bool static_pruning, uint64_t* smt_skipped,
+                                  const util::CancelToken* cancel,
+                                  smt::PathCondCache* shared_pc_cache) {
   sym::EngineOptions opts;
   opts.stop = target;
-  opts.max_results = path_limit + 1;
   opts.fresh_ns = fresh_ns;
   opts.static_pruning = static_pruning;
   opts.cancel = cancel;
@@ -233,7 +42,6 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
     opts.shared_pc_cache = shared_pc_cache;
   }
   sym::Engine eng(ctx, g, opts);
-  bool first = true;
   std::vector<ir::ExprRef> cond_order;  // first path's conds, in path order
   std::unordered_set<ir::ExprRef> conds;
   std::unordered_map<ir::FieldId, ir::ExprRef> values;  // agreeing values
@@ -243,21 +51,13 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
   // the set grows beyond the merge limit.
   constexpr size_t kMaxValueSet = 96;
   std::unordered_map<ir::FieldId, std::unordered_set<uint64_t>> const_sets;
-  size_t count = 0;
+  uint64_t count = 0;
   eng.run([&](const sym::PathResult& r) {
-    if (++count > path_limit) return;
     std::unordered_set<ir::ExprRef> rc(r.conds.begin(), r.conds.end());
-    if (first) {
+    if (count++ == 0) {
       conds = std::move(rc);
-      for (ir::ExprRef c : r.conds) {
-        if (cond_order.empty() || std::find(cond_order.begin(),
-                                            cond_order.end(),
-                                            c) == cond_order.end()) {
-          cond_order.push_back(c);
-        }
-      }
+      cond_order = r.conds;
       values = r.values;
-      first = false;
       for (auto& [f, v] : r.values) {
         if (v->is_const()) const_sets[f].insert(v->value);
       }
@@ -295,16 +95,16 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
   if (smt_skipped != nullptr) {
     *smt_skipped += eng.stats().static_prunes + eng.stats().skipped_checks;
   }
-  if (count > path_limit) return std::nullopt;
   PreCondition pc;
-  if (first) {
+  pc.prefix_paths = count;
+  if (count == 0) {
     pc.conds.push_back(ctx.arena.bool_const(false));
     return pc;
   }
-  // Surviving conjuncts in first-path order: deterministic because the
-  // enumeration itself is a sequential DFS.
+  // Surviving conjuncts in first-path order (first occurrence only):
+  // deterministic because the enumeration itself is a sequential DFS.
   for (ir::ExprRef c : cond_order) {
-    if (conds.count(c)) pc.conds.push_back(c);
+    if (conds.erase(c) != 0) pc.conds.push_back(c);
   }
   for (auto& [f, v] : values) {
     if (v != ctx.var(f)) pc.values.emplace(f, v);
@@ -321,17 +121,62 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
   return pc;
 }
 
+EntryState entry_state(ir::Context& ctx, const PreCondition& pc,
+                       const std::string& inst_name) {
+  EntryState es;
+  es.constraints = pc.conds;
+  auto snapshot = [&](ir::FieldId f) {
+    const int width = ctx.fields.width(f);
+    const ir::FieldId at =
+        ctx.fields.intern("@" + ctx.fields.name(f) + "@" + inst_name, width);
+    es.snapshots.emplace_back(at, f);
+    return ctx.arena.field(at, width);
+  };
+  std::vector<ir::FieldId> tops(pc.tops.begin(), pc.tops.end());
+  sort_fields_by_name(tops, ctx.fields);
+  for (ir::FieldId f : tops) {
+    ir::ExprRef at_var = snapshot(f);
+    auto vs = pc.value_sets.find(f);
+    if (vs == pc.value_sets.end()) continue;
+    // Merged per-packet-type pre-condition: the entry value is one of the
+    // constants the predecessor paths produce (paper §7).
+    std::vector<ir::ExprRef> eqs;
+    for (uint64_t v : vs->second) {
+      eqs.push_back(ctx.arena.cmp(ir::CmpOp::kEq, at_var,
+                                  ctx.arena.constant(v, ctx.fields.width(f))));
+    }
+    es.constraints.push_back(ctx.arena.any_of(eqs));
+  }
+  std::vector<ir::FieldId> known;
+  known.reserve(pc.values.size());
+  for (const auto& [f, v] : pc.values) known.push_back(f);
+  sort_fields_by_name(known, ctx.fields);
+  for (ir::FieldId f : known) {
+    // Known entry value: the binding @f == V_pub(f).
+    es.constraints.push_back(
+        ctx.arena.cmp(ir::CmpOp::kEq, snapshot(f), pc.values.at(f)));
+  }
+  return es;
+}
+
 namespace {
 
 // Encodes one internal valid path as a compact branch (Algorithm 2 lines
 // 12–25) and splices it between `entry` and `exit`.
 class PathEncoder {
  public:
-  PathEncoder(ir::Context& ctx, cfg::Cfg& g, int instance,
-              const std::string& inst_name,
-              const std::unordered_map<ir::FieldId, ir::ExprRef>& seeds)
-      : ctx_(ctx), g_(g), instance_(instance), inst_name_(inst_name),
-        seeds_(seeds) {}
+  // `seed_snaps` are the (@field, field) entry snapshots the body engine
+  // was seeded with (EntryState::snapshots).
+  PathEncoder(
+      ir::Context& ctx, cfg::Cfg& g, int instance, const std::string& inst_name,
+      const std::vector<std::pair<ir::FieldId, ir::FieldId>>& seed_snaps)
+      : ctx_(ctx), g_(g), instance_(instance), inst_name_(inst_name) {
+    for (const auto& [at, f] : seed_snaps) {
+      seeds_.emplace(f, ctx_.arena.field(at, ctx_.fields.width(at)));
+      snapshot_of_.emplace(at, f);
+      snapshot_for_.emplace(f, at);
+    }
+  }
 
   void encode(const sym::PathResult& r, cfg::NodeId entry, cfg::NodeId exit) {
     // Changed fields: assigned inside the pipeline to something other than
@@ -429,18 +274,12 @@ class PathEncoder {
     return at;
   }
 
-  // Registers seed snapshots (fields seeded to @f by the summarizer).
-  void note_seed_snapshot(ir::FieldId at_field, ir::FieldId orig) {
-    snapshot_of_.emplace(at_field, orig);
-    snapshot_for_.emplace(orig, at_field);
-  }
-
  private:
   ir::Context& ctx_;
   cfg::Cfg& g_;
   int instance_;
   const std::string& inst_name_;
-  const std::unordered_map<ir::FieldId, ir::ExprRef>& seeds_;
+  std::unordered_map<ir::FieldId, ir::ExprRef> seeds_;  // f -> @f (seeded)
   std::unordered_map<ir::FieldId, ir::FieldId> snapshot_for_;  // f -> @f
   std::unordered_map<ir::FieldId, ir::FieldId> snapshot_of_;   // @f -> f
 };
@@ -454,7 +293,6 @@ namespace {
 struct InstanceWork {
   PipelineSummary ps;
   std::vector<sym::PathResult> internal;
-  std::unordered_map<ir::FieldId, ir::ExprRef> seeds;
   // (@field, field) pairs, in seeding order, replayed into the encoder.
   std::vector<std::pair<ir::FieldId, ir::FieldId>> seed_snaps;
   bool resumed = false;  // restored from SummaryHooks::resume
@@ -525,24 +363,20 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
         w.internal = u.internal;
         for (const SummaryUnit::SeedSnap& s : u.seed_snaps) {
           ir::FieldId at = ctx.fields.intern(s.at, s.width);
-          ir::FieldId orig = ctx.fields.intern(s.orig, s.width);
-          w.seed_snaps.emplace_back(at, orig);
-          w.seeds.emplace(orig, ctx.arena.field(at, s.width));
+          w.seed_snaps.emplace_back(at, ctx.fields.intern(s.orig, s.width));
         }
         span.arg("resumed", uint64_t{1});
         return;
       }
     }
 
-    // 1. Public pre-condition (Algorithm 2 lines 4–7): exact path
-    // enumeration, falling back to the dataflow meet on explosion.
+    // 1. Public pre-condition (Algorithm 2 lines 4–7).
     PreCondition pc;
     if (opts.precondition_filtering) {
-      std::optional<PreCondition> exact = compute_precondition_by_enumeration(
-          ctx, g, info.entry, opts.max_precondition_paths, &w.ps.smt_checks,
-          "pre." + info.name, opts.static_pruning, &w.ps.smt_skipped,
-          opts.cancel, opts.shared_pc_cache);
-      pc = exact ? std::move(*exact) : compute_precondition(ctx, g, info.entry);
+      pc = compute_precondition(ctx, g, info.entry, &w.ps.smt_checks,
+                                "pre." + info.name, opts.static_pruning,
+                                &w.ps.smt_skipped, opts.cancel,
+                                opts.shared_pc_cache);
     }
 
     // 2. Symbolic execution within the pipeline (line 9), seeded so that
@@ -567,47 +401,12 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
       eopts.facts = &facts;
     }
     sym::Engine eng(ctx, g, eopts);
-    for (ir::ExprRef c : pc.conds) eng.add_precondition(c);
-    auto seed_snapshot = [&](ir::FieldId f) {
-      int width = ctx.fields.width(f);
-      ir::FieldId at =
-          ctx.fields.intern("@" + ctx.fields.name(f) + "@" + info.name, width);
-      w.seed_snaps.emplace_back(at, f);
-      ir::ExprRef at_var = ctx.arena.field(at, width);
-      w.seeds.emplace(f, at_var);
-      eng.seed_value(f, at_var);
-      return at_var;
-    };
-    // Seed in field-name order: FieldId numbering is interning order,
-    // which is scheduling-dependent under concurrent exploration.
-    std::vector<ir::FieldId> tops(pc.tops.begin(), pc.tops.end());
-    sort_fields_by_name(tops, ctx.fields);
-    for (ir::FieldId f : tops) {
-      ir::ExprRef at_var = seed_snapshot(f);
-      auto vs = pc.value_sets.find(f);
-      if (vs != pc.value_sets.end()) {
-        // Merged per-packet-type pre-condition: the entry value is one of
-        // the constants the predecessor paths produce (paper §7).
-        std::vector<ir::ExprRef> eqs;
-        for (uint64_t v : vs->second) {
-          eqs.push_back(ctx.arena.cmp(
-              ir::CmpOp::kEq, at_var,
-              ctx.arena.constant(v, ctx.fields.width(f))));
-        }
-        eng.add_precondition(ctx.arena.any_of(eqs));
-      }
+    EntryState es = entry_state(ctx, pc, info.name);
+    for (ir::ExprRef c : es.constraints) eng.add_precondition(c);
+    for (const auto& [at, f] : es.snapshots) {
+      eng.seed_value(f, ctx.arena.field(at, ctx.fields.width(at)));
     }
-    std::vector<ir::FieldId> known;
-    known.reserve(pc.values.size());
-    for (const auto& [f, v] : pc.values) known.push_back(f);
-    sort_fields_by_name(known, ctx.fields);
-    for (ir::FieldId f : known) {
-      // Known entry value: seed the snapshot and teach the solver the
-      // binding @f == V_pub(f).
-      ir::ExprRef at_var = seed_snapshot(f);
-      eng.add_precondition(
-          ctx.arena.cmp(ir::CmpOp::kEq, at_var, pc.values.at(f)));
-    }
+    w.seed_snaps = std::move(es.snapshots);
 
     eng.run([&](const sym::PathResult& r) { w.internal.push_back(r); });
 
@@ -619,9 +418,13 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
                        .count();
     span.arg("paths_after", w.ps.paths_after);
     span.arg("smt_checks", w.ps.smt_checks);
+    span.arg("prefix_paths", pc.prefix_paths);
     if (obs::metrics_enabled()) {
       obs::metrics().counter("summary.pipelines").add();
       obs::metrics().counter("summary.smt_checks").add(w.ps.smt_checks);
+      obs::metrics()
+          .counter("summary.precondition_paths")
+          .add(pc.prefix_paths);
       obs::metrics()
           .histogram("summary.pipeline_us")
           .observe(static_cast<uint64_t>(w.ps.seconds * 1e6));
@@ -645,8 +448,7 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
   // instance order, so node ids are thread-count-independent.
   auto encode = [&](size_t k, InstanceWork& w) {
     const cfg::InstanceInfo& info = g.instances()[k];
-    PathEncoder encoder(ctx, g, static_cast<int>(k), info.name, w.seeds);
-    for (const auto& [at, f] : w.seed_snaps) encoder.note_seed_snapshot(at, f);
+    PathEncoder encoder(ctx, g, static_cast<int>(k), info.name, w.seed_snaps);
     g.node(info.entry).succ.clear();
     if (w.internal.empty()) {
       // No packet can traverse this pipeline: a false guard keeps the

@@ -4,6 +4,7 @@
 //   1. computes the *public pre-condition* (C_pub, V_pub): constraints and
 //      value bindings shared by every valid path from the CFG entry to the
 //      pipeline's entry (inter-pipeline public pre-condition filtering),
+//      by enumerating those paths exactly (Algorithm 2 lines 4-7),
 //   2. symbolically executes the pipeline body under that pre-condition,
 //      collecting its valid internal paths (intra-pipeline redundancy
 //      elimination), and
@@ -23,9 +24,8 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
-
-#include <optional>
 
 #include "sym/engine.hpp"
 
@@ -69,10 +69,6 @@ struct SummaryOptions {
   bool precondition_filtering = true;
   bool use_z3 = false;
   bool check_every_predicate = false;  // paper-faithful Algorithm 1/2 mode
-  // Pre-condition computation: exact per-path enumeration (Algorithm 2
-  // lines 4-7 verbatim, O(k * m^k)); beyond this many prefix paths it falls
-  // back to the dataflow meet (O(graph), no solver calls).
-  size_t max_precondition_paths = 4096;
   // Worker threads for the per-pipeline explore phase (1 = sequential).
   // Pipelines are grouped into dependency waves (instance k depends on j
   // when j's exit reaches k's entry); each wave's pre-condition + body
@@ -111,30 +107,42 @@ struct PreCondition {
   // (the paper's §7 "group pre-conditions by packet type ... merge them
   // into a full summary", kept as one disjunctive pre-condition).
   std::unordered_map<ir::FieldId, std::vector<uint64_t>> value_sets;
+  uint64_t prefix_paths = 0;  // valid entry→target paths enumerated
 };
 
-// Computes the pre-condition at `target` as a forward dataflow meet over
-// the DAG (equivalent to intersecting over all entry→target paths as in
-// Algorithm 2 lines 4–7, without enumerating them; the meet is the same
-// intersection, computed at join points).
-PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
-                                  cfg::NodeId target);
-
-// Primary implementation (Algorithm 2 verbatim): enumerates all valid
-// entry→target paths and intersects their constraints and value stacks.
-// Returns nullopt when more than `path_limit` prefix paths exist, in which
-// case callers fall back to the dataflow meet above. `smt_checks`, when
+// Algorithm 2 lines 4-7 verbatim: enumerates every valid entry→target
+// path and intersects their constraints and value stacks. There is no cap:
+// the cost is O(k * m^k) in the number of prefix pipelines, like body
+// exploration, and `cancel` is polled throughout. `smt_checks`, when
 // non-null, accumulates the solver checks spent on the enumeration.
 // `fresh_ns`, when non-empty, namespaces the enumeration's fresh symbols
 // (deterministic names under concurrent summarization). `smt_skipped`,
 // when non-null, accumulates the checks static pruning avoided.
-std::optional<PreCondition> compute_precondition_by_enumeration(
+PreCondition compute_precondition(
     ir::Context& ctx, const cfg::Cfg& g, cfg::NodeId target,
-    size_t path_limit, uint64_t* smt_checks = nullptr,
-    const std::string& fresh_ns = {}, bool static_pruning = true,
-    uint64_t* smt_skipped = nullptr,
+    uint64_t* smt_checks = nullptr, const std::string& fresh_ns = {},
+    bool static_pruning = true, uint64_t* smt_skipped = nullptr,
     const util::CancelToken* cancel = nullptr,
     smt::PathCondCache* shared_pc_cache = nullptr);
+
+// A pre-condition restated over one pipeline's entry snapshots, ready to
+// seed an engine (or any other walk) at that pipeline's entry.
+struct EntryState {
+  // (@<field>@<inst>, field) pairs in seeding order: the tops, then the
+  // fields with a known value, each in field-name order.
+  std::vector<std::pair<ir::FieldId, ir::FieldId>> snapshots;
+  // In assertion order: pc.conds, then each value-set top's disjunction
+  // `@f == v1 || ...`, then each known field's `@f == V_pub(f)`. Engines
+  // fold this order into their verdict-cache signature, so it is fixed.
+  std::vector<ir::ExprRef> constraints;
+};
+
+// Interns the `@<field>@<inst_name>` snapshots for `pc` and builds the
+// entry constraints over them. FieldId numbering is interning order, which
+// is scheduling-dependent under concurrent exploration; every order here
+// is by field name instead.
+EntryState entry_state(ir::Context& ctx, const PreCondition& pc,
+                       const std::string& inst_name);
 
 struct PipelineSummary {
   std::string instance;

@@ -23,7 +23,6 @@
 //
 // Exit status: 0 ok, 1 byte-identity mismatch, 2 usage or error.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "driver/incremental.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -125,13 +125,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--table" && i + 1 < argc) {
       table = argv[++i];
     } else if (arg == "--updates" && i + 1 < argc) {
-      updates = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, updates)) return usage();
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--no-verify") {
       verify = false;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, threads)) return usage();
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {

@@ -21,7 +21,6 @@
 //
 // Exit status: 0 ok, 1 expectation failed, 2 usage or error.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/apps.hpp"
@@ -31,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/toolchain.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -117,11 +117,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--expect-divergence") {
       expect_divergence = true;
     } else if (arg == "--execs" && i + 1 < argc) {
-      fopts.execs = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, fopts.execs)) return usage();
     } else if (arg == "--seed" && i + 1 < argc) {
-      fopts.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, fopts.seed)) return usage();
     } else if (arg == "--batch" && i + 1 < argc) {
-      fopts.batch = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, fopts.batch)) return usage();
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--app" && i + 1 < argc) {
       app = argv[++i];
     } else if (arg == "--bug" && i + 1 < argc) {
-      bug = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, bug)) return usage();
       if (bug < 1 || bug > apps::kNumBugs) return usage();
     } else {
       return usage();

@@ -34,7 +34,6 @@
 //
 // Exit status: 0 ok, 1 a gate failed, 2 usage or error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -43,6 +42,7 @@
 #include "apps/survival.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -144,17 +144,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--app" && i + 1 < argc) {
       app = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      copts.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, copts.seed)) return usage();
       sopts.seed = copts.seed;
     } else if (arg == "--threads" && i + 1 < argc) {
-      copts.threads = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, copts.threads)) return usage();
       sopts.threads = copts.threads;
     } else if (arg == "--max-variants" && i + 1 < argc) {
-      copts.max_variants = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, copts.max_variants)) return usage();
     } else if (arg == "--execs" && i + 1 < argc) {
-      sopts.fuzz_execs = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, sopts.fuzz_execs)) return usage();
     } else if (arg == "--lane-deadline-ms" && i + 1 < argc) {
-      sopts.lane_deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, sopts.lane_deadline_ms)) return usage();
     } else if (arg == "--keep-unconfirmed") {
       copts.keep_unconfirmed = true;
     } else if (arg == "--verify-all") {
@@ -173,9 +173,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--report" && i + 1 < argc) {
       report_file = argv[++i];
     } else if (arg == "--min-triggerable" && i + 1 < argc) {
-      min_triggerable = std::atof(argv[++i]);
+      if (!util::parse_flag(argv, i, min_triggerable)) return usage();
     } else if (arg == "--min-detection" && i + 1 < argc) {
-      min_detection = std::atof(argv[++i]);
+      if (!util::parse_flag(argv, i, min_detection)) return usage();
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {

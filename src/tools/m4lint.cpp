@@ -8,7 +8,6 @@
 //
 // Exit status: 0 clean, 1 warnings only, 2 errors (or usage/load failure).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +16,7 @@
 #include "apps/apps.hpp"
 #include "cfg/build.hpp"
 #include "p4/dsl.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--app" && i + 1 < argc) {
       app = argv[++i];
     } else if (arg == "--bug" && i + 1 < argc) {
-      bug = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, bug)) return usage();
       if (bug < 1 || bug > apps::kNumBugs) return usage();
     } else if (!arg.empty() && arg[0] != '-' && file.empty()) {
       file = arg;

@@ -41,7 +41,6 @@
 //
 // Exit status: 0 all cases passed, 1 failures/quarantines, 2 usage or error.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -53,6 +52,7 @@
 #include "obs/trace.hpp"
 #include "p4/dsl.hpp"
 #include "sim/toolchain.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 
@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--validate-summary") {
       validate_summary = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, threads)) return usage();
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, seed)) return usage();
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
@@ -138,17 +138,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      checkpoint_every = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, checkpoint_every)) return usage();
     } else if (arg == "--stall-timeout-ms" && i + 1 < argc) {
-      stall_timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, stall_timeout_ms)) return usage();
     } else if (arg == "--shard-deadline-ms" && i + 1 < argc) {
-      shard_deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, shard_deadline_ms)) return usage();
     } else if (arg == "--inject" && i + 1 < argc) {
       inject_specs.emplace_back(argv[++i]);
     } else if (arg == "--app" && i + 1 < argc) {
       app = argv[++i];
     } else if (arg == "--bug" && i + 1 < argc) {
-      bug = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, bug)) return usage();
       if (bug < 1 || bug > apps::kNumBugs) return usage();
     } else if (!arg.empty() && arg[0] != '-' && file.empty()) {
       file = arg;

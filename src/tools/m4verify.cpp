@@ -21,7 +21,6 @@
 // Exit status: 0 proven (all obligations unsat), 1 sound but with
 // unproven obligations, 2 refuted (or usage/load failure).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -31,6 +30,7 @@
 #include "cfg/build.hpp"
 #include "p4/dsl.hpp"
 #include "summary/summary.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
       inject = argv[++i];
       if (!analysis::parse_summary_fault(inject)) return usage();
     } else if (arg == "--budget-ms" && i + 1 < argc) {
-      budget_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_flag(argv, i, budget_ms)) return usage();
     } else if (arg == "--app" && i + 1 < argc) {
       app = argv[++i];
     } else if (arg == "--bug" && i + 1 < argc) {
-      bug = std::atoi(argv[++i]);
+      if (!util::parse_flag(argv, i, bug)) return usage();
       if (bug < 1 || bug > apps::kNumBugs) return usage();
     } else if (!arg.empty() && arg[0] != '-' && file.empty()) {
       file = arg;

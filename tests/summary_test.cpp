@@ -118,53 +118,86 @@ TEST_F(Fig8Summary, FilteringOffStillPreservesPaths) {
 }
 
 TEST_F(Fig8Summary, EnumeratedPreconditionFindsProtoAndEgSpec) {
-  // The primary (Algorithm 2) enumeration must discover proto == 6 and the
+  // The (Algorithm 2) enumeration must discover proto == 6 and the
   // eg_spec == 1 binding at the egress entry (Fig. 8).
   cfg::NodeId target = g.instances()[1].entry;
-  auto pc = compute_precondition_by_enumeration(ctx, g, target, 10000);
-  ASSERT_TRUE(pc.has_value());
+  PreCondition pc = compute_precondition(ctx, g, target);
   ir::ExprRef proto_is_tcp =
       ctx.arena.cmp(ir::CmpOp::kEq, ctx.field_var("hdr.ipv4.proto", 8),
                     ctx.arena.constant(6, 8));
-  EXPECT_NE(std::find(pc->conds.begin(), pc->conds.end(), proto_is_tcp),
-            pc->conds.end());
+  EXPECT_NE(std::find(pc.conds.begin(), pc.conds.end(), proto_is_tcp),
+            pc.conds.end());
   ir::FieldId eg = ctx.fields.require(std::string(p4::kEgressSpec));
-  ASSERT_TRUE(pc->values.count(eg));
-  EXPECT_TRUE(pc->values.at(eg)->is_const());
-  EXPECT_EQ(pc->values.at(eg)->value, 1u);
+  ASSERT_TRUE(pc.values.count(eg));
+  EXPECT_TRUE(pc.values.at(eg)->is_const());
+  EXPECT_EQ(pc.values.at(eg)->value, 1u);
 }
 
-TEST_F(Fig8Summary, DataflowPreconditionIsWeakerButSound) {
-  // The dataflow fallback may only produce conditions the enumeration
-  // also derives (sound under-approximation of the intersection).
-  cfg::NodeId target = g.instances()[1].entry;
-  PreCondition flow = compute_precondition(ctx, g, target);
-  auto enumd = compute_precondition_by_enumeration(ctx, g, target, 10000);
-  ASSERT_TRUE(enumd.has_value());
-  for (ir::ExprRef c : flow.conds) {
-    EXPECT_NE(std::find(enumd->conds.begin(), enumd->conds.end(), c),
-              enumd->conds.end())
-        << "dataflow produced a condition enumeration did not: "
-        << ir::to_string(c, ctx.fields);
+TEST(SummaryPrecondition, EnumeratesEveryPrefixPathWithNoCap) {
+  // 13 independent two-way diamonds (2^13 = 8192 valid prefix paths) ahead
+  // of a pipeline. The first diamond sets `port` to 1 or 2, so the entry
+  // pre-condition is the two-value set only exact enumeration derives.
+  ir::Context ctx;
+  cfg::Cfg g;
+  cfg::NodeId cur = g.add(ir::Stmt::nop());
+  g.set_entry(cur);
+  ir::FieldId port = ctx.fields.intern("port", 9);
+  auto diamond = [&](ir::Stmt a, ir::Stmt b) {
+    cfg::NodeId join = g.add(ir::Stmt::nop());
+    for (const ir::Stmt& s : {a, b}) {
+      cfg::NodeId n = g.add(s);
+      g.link(cur, n);
+      g.link(n, join);
+    }
+    cur = join;
+  };
+  diamond(ir::Stmt::assign(port, ctx.arena.constant(1, 9)),
+          ir::Stmt::assign(port, ctx.arena.constant(2, 9)));
+  for (int i = 1; i < 13; ++i) {
+    ir::ExprRef bit = ctx.field_var("bit" + std::to_string(i), 1);
+    ir::ExprRef one = ctx.arena.constant(1, 1);
+    diamond(ir::Stmt::assume(ctx.arena.cmp(ir::CmpOp::kEq, bit, one)),
+            ir::Stmt::assume(ctx.arena.cmp(ir::CmpOp::kNe, bit, one)));
   }
-  for (auto& [f, v] : flow.values) {
-    auto it = enumd->values.find(f);
-    ASSERT_NE(it, enumd->values.end());
-    EXPECT_EQ(it->second, v);
-  }
+  cfg::NodeId pentry = g.add(ir::Stmt::nop());
+  g.link(cur, pentry);
+
+  PreCondition pc = compute_precondition(ctx, g, pentry);
+  EXPECT_EQ(pc.prefix_paths, 8192u);
+  EXPECT_TRUE(pc.conds.empty());
+  ASSERT_TRUE(pc.tops.count(port));
+  auto it = pc.value_sets.find(port);
+  ASSERT_NE(it, pc.value_sets.end());
+  EXPECT_EQ(it->second, (std::vector<uint64_t>{1, 2}));
 }
 
-TEST_F(Fig8Summary, EnumerationLimitFallsBackGracefully) {
-  cfg::NodeId target = g.instances()[1].entry;
-  EXPECT_FALSE(
-      compute_precondition_by_enumeration(ctx, g, target, 0).has_value());
-  SummaryOptions opts;
-  opts.max_precondition_paths = 0;  // force the dataflow fallback everywhere
-  SummaryResult sr = summarize(ctx, g, opts);
-  Engine eng(ctx, sr.graph);
-  std::vector<PathResult> rs;
-  eng.run([&](const PathResult& r) { rs.push_back(r); });
-  EXPECT_EQ(rs.size(), explore(ctx, g).size());
+TEST(SummaryPrecondition, EntryStateOrdersSeedsAndConstraintsByName) {
+  // The summarizer's engine and the validator both seed from entry_state;
+  // its constraint order feeds the engine's verdict-cache signature.
+  ir::Context ctx;
+  ir::FieldId b = ctx.fields.intern("b", 8);  // interned before `a`
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId k = ctx.fields.intern("k", 8);
+  auto eq = [&](ir::ExprRef x, uint64_t v) {
+    return ctx.arena.cmp(ir::CmpOp::kEq, x, ctx.arena.constant(v, 8));
+  };
+  PreCondition pc;
+  pc.conds = {eq(ctx.field_var("z", 8), 1)};
+  pc.tops = {a, b};
+  pc.value_sets[b] = {3, 4};
+  pc.values[k] = ctx.arena.constant(7, 8);
+
+  EntryState es = entry_state(ctx, pc, "p1");
+  auto at = [&](const char* f) {
+    return ctx.fields.require(std::string("@") + f + "@p1");
+  };
+  using Snaps = std::vector<std::pair<ir::FieldId, ir::FieldId>>;
+  EXPECT_EQ(es.snapshots, (Snaps{{at("a"), a}, {at("b"), b}, {at("k"), k}}));
+  ir::ExprRef at_b = ctx.arena.field(at("b"), 8);
+  EXPECT_EQ(es.constraints,
+            (std::vector<ir::ExprRef>{
+                pc.conds[0], ctx.arena.any_of({eq(at_b, 3), eq(at_b, 4)}),
+                eq(ctx.arena.field(at("k"), 8), 7)}));
 }
 
 TEST(SummaryAtomicity, SwapEncodingUsesEntrySnapshots) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "util/big_count.hpp"
 #include "util/bits.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -65,6 +69,67 @@ TEST(Strings, SplitTrimAffixes) {
   EXPECT_FALSE(ends_with("x", "longer"));
   EXPECT_EQ(hex(0xbeef), "0xbeef");
   EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
+}
+
+TEST(Cli, ParseNumberAcceptsPlainDecimalsThatFit) {
+  EXPECT_EQ(parse_number<uint64_t>("0"), 0u);
+  EXPECT_EQ(parse_number<uint64_t>("007"), 7u);
+  EXPECT_EQ(parse_number<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parse_number<int>("2147483647"), INT_MAX);
+  EXPECT_EQ(parse_number<int>("0"), 0);
+}
+
+TEST(Cli, ParseNumberRejectsMalformedIntegers) {
+  for (const char* bad :
+       {"", "abc", "x", "-1", "+1", "-0", " 1", "1 ", "\t1", "1\n", "1x",
+        "12abc", "0x10", "1e3", "1.0", "1,000", "--1",
+        "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_number<uint64_t>(bad).has_value()) << "'" << bad << "'";
+    EXPECT_FALSE(parse_number<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_number<int>("2147483648").has_value());
+  EXPECT_FALSE(parse_number<int>("-2147483648").has_value());
+}
+
+TEST(Cli, ParseNumberTakesWholeFiniteDoubles) {
+  EXPECT_EQ(parse_number<double>("0.9"), 0.9);
+  EXPECT_EQ(parse_number<double>("1"), 1.0);
+  EXPECT_EQ(parse_number<double>("-1"), -1.0);
+  EXPECT_EQ(parse_number<double>("5e-1"), 0.5);
+  for (const char* bad : {"", "abc", " 0.5", "0.5 ", "0.5x", "0.9.1", "+0.5",
+                          "1e999", "-1e999", "inf", "nan", "0x1p3"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+// parse_flag on the command line `dir/tool FLAG VALUE`; it must consume
+// the value whether or not it parses.
+template <typename T>
+bool parse_one(const char* flag, const char* value, T& out) {
+  std::string a0 = "dir/tool", a1 = flag, a2 = value;
+  char* argv[] = {a0.data(), a1.data(), a2.data(), nullptr};
+  int i = 1;
+  const bool ok = parse_flag(argv, i, out);
+  EXPECT_EQ(i, 2);
+  return ok;
+}
+
+TEST(Cli, ParseFlagLeavesTheTargetAloneOnAMalformedValue) {
+  int threads = 3;
+  EXPECT_FALSE(parse_one("--threads", "abc", threads));
+  EXPECT_FALSE(parse_one("--threads", "-1", threads));
+  EXPECT_FALSE(parse_one("--threads", "4294967296", threads));
+  EXPECT_EQ(threads, 3);
+  EXPECT_TRUE(parse_one("--threads", "2", threads));
+  EXPECT_EQ(threads, 2);
+  uint64_t every = 8;
+  EXPECT_FALSE(parse_one("--checkpoint-every", "x", every));
+  EXPECT_EQ(every, 8u);
+  double ratio = -1;
+  EXPECT_FALSE(parse_one("--min-detection", "0.9x", ratio));
+  EXPECT_EQ(ratio, -1);
+  EXPECT_TRUE(parse_one("--min-detection", "0.9", ratio));
+  EXPECT_EQ(ratio, 0.9);
 }
 
 TEST(ThreadPool, ResolveThreads) {
