@@ -3,6 +3,8 @@
 // has n possible paths of which m are valid under the previous pipe's
 // output (a Fig. 7-style chained-table pipe), so the basic framework's
 // explored tree grows with k while the summarized cost stays ~linear.
+// A JSON line per k follows its row; its prefix_paths/prefix_nodes are the
+// summary's public pre-condition work.
 #include "apps/protocols.hpp"
 #include "bench_common.hpp"
 
@@ -136,6 +138,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(g1.stats().smt_checks), s2,
                 static_cast<unsigned long long>(g2.stats().smt_checks), n1,
                 n2);
+    bench::print_phase_json(a2.name, "summary", 1, g2.stats());
   }
   std::printf("\nShape check: the basic framework's SMT calls grow faster\n"
               "with k than code summary's (O(n^k)-flavored vs O(k*n),\n"

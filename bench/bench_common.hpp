@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/toolchain.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
 namespace meissa::bench {
@@ -63,13 +64,25 @@ inline std::string outcome(const baselines::BaselineResult& r) {
   return buf;
 }
 
-// Parses `--threads N` (0 = hardware concurrency) from the bench binary's
-// command line; any other argument is ignored.
-inline int parse_threads(int argc, char** argv, int fallback = 1) {
+// Parses the value of numeric flag `name` (`<name> N`) from the bench
+// binary's command line with util::parse_number; `fallback` when absent.
+// A malformed value is a usage error: the message names the flag, exit 2.
+template <typename T>
+T parse_numeric_arg(int argc, char** argv, const std::string& name,
+                    T fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--threads") return std::atoi(argv[i + 1]);
+    if (argv[i] != name) continue;
+    T v = fallback;
+    if (!util::parse_flag(argv, i, v)) std::exit(2);
+    return v;
   }
   return fallback;
+}
+
+// Parses `--threads N` (0 = hardware concurrency); any other argument is
+// ignored.
+inline int parse_threads(int argc, char** argv, int fallback = 1) {
+  return parse_numeric_arg(argc, argv, "--threads", fallback);
 }
 
 // Parses `<name> FILE` from the command line; empty when absent.
@@ -114,10 +127,25 @@ struct ObsSession {
   ObsSession& operator=(const ObsSession&) = delete;
 };
 
+// SAT-core decisions per SAT-core solve (0 when no check reached the core).
+inline double decisions_per_solve(const smt::SolverStats& s) {
+  return s.sat_calls == 0 ? 0.0
+                          : static_cast<double>(s.sat_decisions) /
+                                static_cast<double>(s.sat_calls);
+}
+
 // One machine-readable line per run: per-phase wall times and headline
-// counters, for scripted scaling sweeps over --threads.
+// counters, for scripted scaling sweeps over --threads. The SAT counters
+// are the final DFS's; prefix_paths/prefix_nodes sum the summary's public
+// pre-condition enumerations (summary::PipelineSummary).
 inline void print_phase_json(const std::string& program, const char* variant,
                              int threads, const driver::GenStats& s) {
+  uint64_t prefix_paths = 0;
+  uint64_t prefix_nodes = 0;
+  for (const summary::PipelineSummary& p : s.pipelines) {
+    prefix_paths += p.prefix_paths;
+    prefix_nodes += p.prefix_nodes;
+  }
   std::printf(
       "{\"program\":\"%s\",\"variant\":\"%s\",\"threads\":%d,"
       "\"build_seconds\":%.6f,\"summary_seconds\":%.6f,"
@@ -125,6 +153,8 @@ inline void print_phase_json(const std::string& program, const char* variant,
       "\"templates\":%llu,\"smt_checks\":%llu,\"smt_calls_skipped\":%llu,"
       "\"pc_cache_hits\":%llu,\"pc_cache_misses\":%llu,"
       "\"pc_model_reuse\":%llu,\"fast_path_skipped\":%llu,"
+      "\"sat_calls\":%llu,\"sat_decisions_per_solve\":%.1f,"
+      "\"prefix_paths\":%llu,\"prefix_nodes\":%llu,"
       "\"timed_out\":%s}\n",
       util::json_escape(program).c_str(), util::json_escape(variant).c_str(),
       threads, s.build_seconds, s.summary_seconds,
@@ -136,6 +166,10 @@ inline void print_phase_json(const std::string& program, const char* variant,
       static_cast<unsigned long long>(s.engine.pc_cache_misses),
       static_cast<unsigned long long>(s.engine.pc_model_reuse),
       static_cast<unsigned long long>(s.engine.solver.fast_path_skipped),
+      static_cast<unsigned long long>(s.engine.solver.sat_calls),
+      decisions_per_solve(s.engine.solver),
+      static_cast<unsigned long long>(prefix_paths),
+      static_cast<unsigned long long>(prefix_nodes),
       s.engine.timed_out ? "true" : "false");
 }
 

@@ -30,36 +30,24 @@
 #include "apps/survival.hpp"
 #include "bench_common.hpp"
 
-namespace {
-
 using namespace meissa;
-
-uint64_t parse_u64(int argc, char** argv, const std::string& name,
-                   uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == name) return std::strtoull(argv[i + 1], nullptr, 10);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv);
 
   apps::corpus::CorpusOptions copts;
   apps::survival::SurvivalOptions sopts;
-  copts.seed = parse_u64(argc, argv, "--seed", 1);
+  copts.seed = bench::parse_numeric_arg<uint64_t>(argc, argv, "--seed", 1);
   sopts.seed = copts.seed;
   copts.threads = bench::parse_threads(argc, argv, /*fallback=*/0);
   sopts.threads = copts.threads;
-  sopts.fuzz_execs = parse_u64(argc, argv, "--execs", 4096);
+  sopts.fuzz_execs =
+      bench::parse_numeric_arg<uint64_t>(argc, argv, "--execs", 4096);
   copts.max_variants =
-      static_cast<size_t>(parse_u64(argc, argv, "--max-variants", 24));
+      bench::parse_numeric_arg<size_t>(argc, argv, "--max-variants", 24);
   sopts.engine_max_templates =
-      static_cast<size_t>(parse_u64(argc, argv, "--engine-templates", 192));
-  const int scale =
-      static_cast<int>(parse_u64(argc, argv, "--scale", 1));
+      bench::parse_numeric_arg<size_t>(argc, argv, "--engine-templates", 192);
+  const int scale = bench::parse_numeric_arg(argc, argv, "--scale", 1);
 
   std::printf("Bug injection survival analysis (seed %llu, fuzz budget "
               "%llu execs)\n",

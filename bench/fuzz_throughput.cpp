@@ -492,14 +492,10 @@ Row measure(const char* variant, double min_seconds, Pass&& pass) {
 
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv);
-  size_t n_inputs = 512;
-  double min_seconds = 0.5;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--inputs") n_inputs = std::atoi(argv[i + 1]);
-    if (std::string(argv[i]) == "--seconds") {
-      min_seconds = std::atof(argv[i + 1]);
-    }
-  }
+  const size_t n_inputs =
+      bench::parse_numeric_arg<size_t>(argc, argv, "--inputs", 512);
+  const double min_seconds =
+      bench::parse_numeric_arg(argc, argv, "--seconds", 0.5);
 
   for (const std::string& name : {std::string("gw-1"), std::string("gw-4")}) {
     ir::Context ctx;

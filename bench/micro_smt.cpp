@@ -14,15 +14,21 @@ using namespace meissa;
 
 // --- solver micro ----------------------------------------------------------
 
+// Every row's JSON carries `decisions_per_solve`: SAT-core decisions per
+// SAT-core solve (bench::decisions_per_solve; 0 when the fast path decided
+// every check).
 void BM_FastPathExactMatch(benchmark::State& state) {
   ir::Context ctx;
   ir::ExprRef f = ctx.field_var("f", 32);
+  smt::SolverStats st;
   for (auto _ : state) {
     smt::BvSolver s(ctx);
     s.add(ctx.arena.cmp(ir::CmpOp::kEq, f, ctx.arena.constant(42, 32)));
     s.add(ctx.arena.cmp(ir::CmpOp::kNe, f, ctx.arena.constant(7, 32)));
     benchmark::DoNotOptimize(s.check());
+    st += s.stats();
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(st);
 }
 BENCHMARK(BM_FastPathExactMatch);
 
@@ -30,6 +36,7 @@ void BM_SatCoreArithmetic(benchmark::State& state) {
   ir::Context ctx;
   ir::ExprRef a = ctx.field_var("a", 16);
   ir::ExprRef b = ctx.field_var("b", 16);
+  smt::SolverStats st;
   for (auto _ : state) {
     smt::BvSolver s(ctx);
     s.add(ctx.arena.cmp(ir::CmpOp::kEq,
@@ -37,7 +44,9 @@ void BM_SatCoreArithmetic(benchmark::State& state) {
                         ctx.arena.constant(12345, 16)));
     s.add(ctx.arena.cmp(ir::CmpOp::kGt, a, ctx.arena.constant(60000, 16)));
     benchmark::DoNotOptimize(s.check());
+    st += s.stats();
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(st);
 }
 BENCHMARK(BM_SatCoreArithmetic);
 
@@ -53,6 +62,7 @@ void BM_IncrementalPushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(s.check());
     s.pop();
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(s.stats());
 }
 BENCHMARK(BM_IncrementalPushPop);
 
@@ -60,6 +70,7 @@ BENCHMARK(BM_IncrementalPushPop);
 
 template <bool kEarlyTermination, bool kIncremental>
 void BM_GenerateFig8(benchmark::State& state) {
+  smt::SolverStats st;
   for (auto _ : state) {
     state.PauseTiming();
     ir::Context ctx;
@@ -74,7 +85,9 @@ void BM_GenerateFig8(benchmark::State& state) {
     size_t n = 0;
     eng.run([&](const sym::PathResult&) { ++n; });
     benchmark::DoNotOptimize(n);
+    st += eng.stats().solver;
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(st);
 }
 BENCHMARK(BM_GenerateFig8<true, true>)->Name("BM_Engine/early+incremental");
 BENCHMARK(BM_GenerateFig8<true, false>)->Name("BM_Engine/early+fresh");
@@ -83,6 +96,7 @@ BENCHMARK(BM_GenerateFig8<false, true>)->Name("BM_Engine/leafcheck+incremental")
 // Predicate folding (this implementation's optimization over Algorithm 1).
 template <bool kFold>
 void BM_SwitchP4Folding(benchmark::State& state) {
+  smt::SolverStats st;
   for (auto _ : state) {
     ir::Context ctx;
     apps::SwitchP4Config cfg;
@@ -93,7 +107,9 @@ void BM_SwitchP4Folding(benchmark::State& state) {
     gen.check_every_predicate = !kFold;
     driver::Generator g(ctx, app.dp, app.rules, gen);
     benchmark::DoNotOptimize(g.generate().size());
+    st += g.stats().engine.solver;
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(st);
 }
 BENCHMARK(BM_SwitchP4Folding<true>)->Name("BM_SwitchP4/folded-predicates");
 BENCHMARK(BM_SwitchP4Folding<false>)->Name("BM_SwitchP4/check-every-predicate");
@@ -101,6 +117,7 @@ BENCHMARK(BM_SwitchP4Folding<false>)->Name("BM_SwitchP4/check-every-predicate");
 // Disjoint-negation elision in the table encoding.
 template <bool kElide>
 void BM_RouterNegations(benchmark::State& state) {
+  smt::SolverStats st;
   for (auto _ : state) {
     ir::Context ctx;
     apps::AppBundle app = apps::make_router(ctx, 24);
@@ -110,7 +127,9 @@ void BM_RouterNegations(benchmark::State& state) {
     gen.build.elide_disjoint_negations = kElide;
     driver::Generator g(ctx, app.dp, app.rules, gen);
     benchmark::DoNotOptimize(g.generate().size());
+    st += g.stats().engine.solver;
   }
+  state.counters["decisions_per_solve"] = bench::decisions_per_solve(st);
 }
 BENCHMARK(BM_RouterNegations<false>)->Name("BM_Router/standard-negations");
 BENCHMARK(BM_RouterNegations<true>)->Name("BM_Router/elided-negations");

@@ -179,9 +179,11 @@ class PipelineValidator {
       // The region reaching this entry consists of earlier-wave pipelines
       // only (instance_deps orders the waves), so the final summarized
       // graph shows exactly what the summarizer's own enumeration saw.
-      pc = summary::compute_precondition(ctx_, summ_, info_.entry,
-                                         &pv_.smt_checks, "pre." + info_.name,
-                                         opts_.summary.static_pruning);
+      summary::PreconditionOptions po;
+      po.fresh_ns = "pre." + info_.name;
+      po.static_pruning = opts_.summary.static_pruning;
+      pc = summary::compute_precondition(ctx_, summ_, info_.entry, po);
+      pv_.smt_checks += pc.smt_checks;
     }
     summary::EntryState es = summary::entry_state(ctx_, pc, info_.name);
     base_ = std::move(es.constraints);

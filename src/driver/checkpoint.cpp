@@ -18,7 +18,8 @@ constexpr char kMagic[8] = {'M', '4', 'C', 'K', 'P', 'T', '0', '1'};
 // the version guard and the run starts fresh — never misparsed.
 // v3: payload carries region fingerprints (graph/glue/per-region) and the
 // content key covers options only — readers of v2 and earlier reject.
-constexpr uint32_t kVersion = 3;
+// v4: SolverStats::sat_decisions.
+constexpr uint32_t kVersion = 4;
 
 // --- primitive byte streams (little-endian) -------------------------------
 

@@ -293,6 +293,13 @@ CheckResult BvSolver::check_impl() {
   for (size_t i = 1; i < scopes_.size(); ++i) {
     if (scopes_[i].has_selector) assumptions.push_back(scopes_[i].selector);
   }
+  const uint64_t decisions_before = sat_.stats().decisions;
+  const CheckResult r = solve_core(assumptions);
+  stats_.sat_decisions += sat_.stats().decisions - decisions_before;
+  return r;
+}
+
+CheckResult BvSolver::solve_core(const std::vector<Lit>& assumptions) {
   if (budget_.unlimited()) {
     bool sat = sat_.solve(assumptions);
     return sat ? CheckResult::kSat : CheckResult::kUnsat;

@@ -72,6 +72,8 @@ class BvSolver final : public Solver {
 
   // check() minus the observability wrapper.
   CheckResult check_impl();
+  // The SAT-core solve under the scope selectors, within the budget.
+  CheckResult solve_core(const std::vector<Lit>& assumptions);
 
   void blast_pending();
 

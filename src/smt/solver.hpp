@@ -76,6 +76,8 @@ using Model = std::unordered_map<ir::FieldId, uint64_t>;
   X(uint64_t, fast_path_skipped)                                             \
   /* checks that exhausted their Budget and returned kUnknown. */            \
   X(uint64_t, unknowns)                                                      \
+  /* SAT-core decisions summed over sat_calls (BvSolver only). */           \
+  X(uint64_t, sat_decisions)                                                 \
   X(uint64_t, pushes)                                                        \
   X(uint64_t, pops)
 

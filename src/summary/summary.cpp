@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "analysis/dataflow.hpp"
 #include "obs/metrics.hpp"
@@ -27,21 +28,19 @@ void sort_fields_by_name(std::vector<ir::FieldId>& fs,
 }  // namespace
 
 PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
-                                  cfg::NodeId target, uint64_t* smt_checks,
-                                  const std::string& fresh_ns,
-                                  bool static_pruning, uint64_t* smt_skipped,
-                                  const util::CancelToken* cancel,
-                                  smt::PathCondCache* shared_pc_cache) {
+                                  cfg::NodeId target,
+                                  const PreconditionOptions& popts) {
   sym::EngineOptions opts;
   opts.stop = target;
-  opts.fresh_ns = fresh_ns;
-  opts.static_pruning = static_pruning;
-  opts.cancel = cancel;
-  if (shared_pc_cache != nullptr) {
+  opts.fresh_ns = popts.fresh_ns;
+  opts.static_pruning = popts.static_pruning;
+  opts.cancel = popts.cancel;
+  if (popts.shared_pc_cache != nullptr) {
     opts.pc_cache = true;
-    opts.shared_pc_cache = shared_pc_cache;
+    opts.shared_pc_cache = popts.shared_pc_cache;
   }
   sym::Engine eng(ctx, g, opts);
+  PreCondition pc;
   std::vector<ir::ExprRef> cond_order;  // first path's conds, in path order
   std::unordered_set<ir::ExprRef> conds;
   std::unordered_map<ir::FieldId, ir::ExprRef> values;  // agreeing values
@@ -52,7 +51,11 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
   constexpr size_t kMaxValueSet = 96;
   std::unordered_map<ir::FieldId, std::unordered_set<uint64_t>> const_sets;
   uint64_t count = 0;
-  eng.run([&](const sym::PathResult& r) {
+  auto intersect = [&](const sym::PathResult& r) {
+    sym::PathResult& s = pc.frontier.states.emplace_back();
+    s.conds = r.conds;
+    s.values = r.values;
+    s.obligations = r.obligations;
     std::unordered_set<ir::ExprRef> rc(r.conds.begin(), r.conds.end());
     if (count++ == 0) {
       conds = std::move(rc);
@@ -90,12 +93,16 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
         ++it;
       }
     }
-  });
-  if (smt_checks != nullptr) *smt_checks += eng.stats().solver.checks;
-  if (smt_skipped != nullptr) {
-    *smt_skipped += eng.stats().static_prunes + eng.stats().skipped_checks;
+  };
+  if (popts.from != nullptr) {
+    eng.run_from(*popts.from, intersect);
+  } else {
+    eng.run(intersect);
   }
-  PreCondition pc;
+  pc.frontier.node = target;
+  pc.smt_checks = eng.stats().solver.checks;
+  pc.smt_skipped = eng.stats().static_prunes + eng.stats().skipped_checks;
+  pc.prefix_nodes = eng.stats().nodes_visited;
   pc.prefix_paths = count;
   if (count == 0) {
     pc.conds.push_back(ctx.arena.bool_const(false));
@@ -328,6 +335,48 @@ std::vector<std::vector<size_t>> instance_deps(const cfg::Cfg& g) {
 
 }  // namespace
 
+std::vector<int> nearest_dominators(const cfg::Cfg& g) {
+  const size_t n = g.instances().size();
+  // Nodes reachable from the CFG entry without entering `avoid`.
+  auto reach = [&](cfg::NodeId avoid) {
+    std::vector<bool> seen(g.size(), false);
+    if (g.entry() == avoid) return seen;
+    std::vector<cfg::NodeId> work{g.entry()};
+    seen[g.entry()] = true;
+    while (!work.empty()) {
+      cfg::NodeId cur = work.back();
+      work.pop_back();
+      for (cfg::NodeId s : g.node(cur).succ) {
+        if (!seen[s] && s != avoid) {
+          seen[s] = true;
+          work.push_back(s);
+        }
+      }
+    }
+    return seen;
+  };
+  const std::vector<bool> reachable = reach(cfg::kNoNode);
+  std::vector<std::vector<size_t>> doms(n);  // instances dominating each
+  for (size_t d = 0; d < n; ++d) {
+    const std::vector<bool> without = reach(g.instances()[d].entry);
+    for (size_t t = 0; t < n; ++t) {
+      const cfg::NodeId e = g.instances()[t].entry;
+      if (t != d && reachable[e] && !without[e]) doms[t].push_back(d);
+    }
+  }
+  // One node's dominators form a chain; the nearest is the one the others
+  // all dominate, i.e. the one with the most dominators of its own.
+  std::vector<int> nearest(n, -1);
+  for (size_t t = 0; t < n; ++t) {
+    for (size_t d : doms[t]) {
+      if (nearest[t] < 0 || doms[d].size() > doms[nearest[t]].size()) {
+        nearest[t] = static_cast<int>(d);
+      }
+    }
+  }
+  return nearest;
+}
+
 SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
                         const SummaryOptions& opts) {
   SummaryResult result;
@@ -335,6 +384,31 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
   cfg::Cfg& g = result.graph;
   const size_t n = g.instances().size();
   if (n == 0) return result;
+
+  // Public pre-conditions extend frontiers (see compute_precondition): a
+  // pipeline t with a nearest dominating instance d = dom[t] continues d's
+  // prefix paths, F_d, instead of re-enumerating them from the CFG entry.
+  // d's exit reaches t's entry, so d is summarized in an earlier wave and
+  // the region before d no longer changes. F_d is kept while a pending
+  // pipeline extends it.
+  const std::vector<int> dom = opts.precondition_filtering
+                                   ? nearest_dominators(g)
+                                   : std::vector<int>(n, -1);
+  std::vector<std::optional<sym::Frontier>> frontiers(n);
+  auto precondition_options = [&](size_t k) {
+    PreconditionOptions po;
+    if (dom[k] >= 0) po.from = &*frontiers[dom[k]];
+    po.fresh_ns = "pre." + g.instances()[k].name;
+    po.static_pruning = opts.static_pruning;
+    po.cancel = opts.cancel;
+    po.shared_pc_cache = opts.shared_pc_cache;
+    return po;
+  };
+  auto count_precondition = [](const PreCondition& pc) {
+    if (!obs::metrics_enabled()) return;
+    obs::metrics().counter("summary.precondition_paths").add(pc.prefix_paths);
+    obs::metrics().counter("summary.precondition_nodes").add(pc.prefix_nodes);
+  };
 
   // Explore one pipeline: pre-condition, seeding, body exploration. Reads
   // the graph and interns fields/expressions, but never mutates the graph —
@@ -373,10 +447,12 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     // 1. Public pre-condition (Algorithm 2 lines 4–7).
     PreCondition pc;
     if (opts.precondition_filtering) {
-      pc = compute_precondition(ctx, g, info.entry, &w.ps.smt_checks,
-                                "pre." + info.name, opts.static_pruning,
-                                &w.ps.smt_skipped, opts.cancel,
-                                opts.shared_pc_cache);
+      pc = compute_precondition(ctx, g, info.entry, precondition_options(k));
+      w.ps.smt_checks = pc.smt_checks;
+      w.ps.smt_skipped = pc.smt_skipped;
+      w.ps.prefix_paths = pc.prefix_paths;
+      w.ps.prefix_nodes = pc.prefix_nodes;
+      frontiers[k] = std::move(pc.frontier);
     }
 
     // 2. Symbolic execution within the pipeline (line 9), seeded so that
@@ -419,12 +495,11 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     span.arg("paths_after", w.ps.paths_after);
     span.arg("smt_checks", w.ps.smt_checks);
     span.arg("prefix_paths", pc.prefix_paths);
+    span.arg("prefix_nodes", pc.prefix_nodes);
+    count_precondition(pc);
     if (obs::metrics_enabled()) {
       obs::metrics().counter("summary.pipelines").add();
       obs::metrics().counter("summary.smt_checks").add(w.ps.smt_checks);
-      obs::metrics()
-          .counter("summary.precondition_paths")
-          .add(pc.prefix_paths);
       obs::metrics()
           .histogram("summary.pipeline_us")
           .observe(static_cast<uint64_t>(w.ps.seconds * 1e6));
@@ -483,6 +558,34 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     return u;
   };
 
+  // F_d for a dominator d whose own explore left none: restored from
+  // SummaryHooks::resume, or released. Rebuilt by the same recursion,
+  // sequentially on this thread, so its fresh names — and with them every
+  // engine's verdict-cache signature downstream — match an uninterrupted
+  // run's. Its solver work counts in the totals, not in d's row.
+  uint64_t rebuild_checks = 0;
+  uint64_t rebuild_skipped = 0;
+  auto ensure_frontier = [&](int d) {
+    std::vector<int> chain;  // d, then its missing dominators
+    for (int x = d; x >= 0 && !frontiers[x]; x = dom[x]) chain.push_back(x);
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      const cfg::InstanceInfo& info = g.instances()[*it];
+      obs::Span span("summary frontier " + info.name, "summary");
+      PreCondition pc =
+          compute_precondition(ctx, g, info.entry, precondition_options(*it));
+      rebuild_checks += pc.smt_checks;
+      rebuild_skipped += pc.smt_skipped;
+      span.arg("prefix_paths", pc.prefix_paths);
+      span.arg("prefix_nodes", pc.prefix_nodes);
+      count_precondition(pc);
+      frontiers[*it] = std::move(pc.frontier);
+    }
+  };
+  auto resumed = [&](size_t k) {
+    return opts.hooks != nullptr && opts.hooks->resume != nullptr &&
+           opts.hooks->resume->count(g.instances()[k].name) != 0;
+  };
+
   // Process in dependency waves: explore a wave's pipelines concurrently
   // (read-only on the graph), then splice their summaries sequentially.
   const std::vector<std::vector<size_t>> deps = instance_deps(g);
@@ -506,6 +609,9 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
       result.cancelled = true;
       break;
     }
+    for (size_t k : wave) {
+      if (dom[k] >= 0 && !resumed(k)) ensure_frontier(dom[k]);
+    }
     pool.run(wave.size(), [&](size_t i) { explore(wave[i], work[wave[i]]); });
     // A cancel during the wave leaves *partial* explorations; splicing one
     // would silently shrink the summarized graph, so the whole wave is
@@ -523,7 +629,16 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
         opts.hooks->on_unit(k, to_unit(work[k]));
       }
     }
+    for (size_t d = 0; d < n; ++d) {
+      bool pending = false;
+      for (size_t k = 0; k < n; ++k) {
+        pending |= !done[k] && dom[k] == static_cast<int>(d);
+      }
+      if (!pending) frontiers[d].reset();
+    }
   }
+  result.total_smt_checks = rebuild_checks;
+  result.total_smt_skipped = rebuild_skipped;
   for (size_t k = 0; k < n; ++k) {
     if (!done[k]) continue;  // cancelled before completion
     result.total_smt_checks += work[k].ps.smt_checks;

@@ -107,23 +107,46 @@ struct PreCondition {
   // (the paper's §7 "group pre-conditions by packet type ... merge them
   // into a full summary", kept as one disjunctive pre-condition).
   std::unordered_map<ir::FieldId, std::vector<uint64_t>> value_sets;
+  // Work counters of the enumeration that produced this pre-condition.
   uint64_t prefix_paths = 0;  // valid entry→target paths enumerated
+  uint64_t prefix_nodes = 0;  // CFG nodes it visited (frontier loads: none)
+  uint64_t smt_checks = 0;    // solver checks it spent
+  uint64_t smt_skipped = 0;   // checks static pruning avoided
+  // The enumerated paths' states at the target, in DFS order, for a
+  // dominated pipeline to extend.
+  sym::Frontier frontier;
+};
+
+struct PreconditionOptions {
+  // Enumerate by extending this frontier — the valid paths to a node that
+  // dominates the target — instead of starting at the CFG entry with an
+  // empty state. Must outlive the call.
+  const sym::Frontier* from = nullptr;
+  // Namespace for the enumeration's fresh symbols (deterministic names
+  // under concurrent summarization); empty = the shared Context counter.
+  std::string fresh_ns;
+  bool static_pruning = true;
+  const util::CancelToken* cancel = nullptr;
+  smt::PathCondCache* shared_pc_cache = nullptr;
 };
 
 // Algorithm 2 lines 4-7 verbatim: enumerates every valid entry→target
 // path and intersects their constraints and value stacks. There is no cap:
 // the cost is O(k * m^k) in the number of prefix pipelines, like body
-// exploration, and `cancel` is polled throughout. `smt_checks`, when
-// non-null, accumulates the solver checks spent on the enumeration.
-// `fresh_ns`, when non-empty, namespaces the enumeration's fresh symbols
-// (deterministic names under concurrent summarization). `smt_skipped`,
-// when non-null, accumulates the checks static pruning avoided.
-PreCondition compute_precondition(
-    ir::Context& ctx, const cfg::Cfg& g, cfg::NodeId target,
-    uint64_t* smt_checks = nullptr, const std::string& fresh_ns = {},
-    bool static_pruning = true, uint64_t* smt_skipped = nullptr,
-    const util::CancelToken* cancel = nullptr,
-    smt::PathCondCache* shared_pc_cache = nullptr);
+// exploration, and `cancel` is polled throughout.
+//
+// Extending the frontier F_d of a node d that dominates the target gives
+// the same result as starting at the entry: the CFG is a DAG, so the
+// entry DFS visits exactly the pairs (path to d, continuation from d), in
+// the same order. Only the names of fresh symbols differ.
+PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
+                                  cfg::NodeId target,
+                                  const PreconditionOptions& opts = {});
+
+// For each instance of `g`, the nearest other instance whose entry
+// dominates its entry (every path from the CFG entry to it passes there),
+// or -1 when there is none or the instance is unreachable from the entry.
+std::vector<int> nearest_dominators(const cfg::Cfg& g);
 
 // A pre-condition restated over one pipeline's entry snapshots, ready to
 // seed an engine (or any other walk) at that pipeline's entry.
@@ -151,6 +174,9 @@ struct PipelineSummary {
   uint64_t smt_checks = 0;      // solver checks spent summarizing
   double seconds = 0.0;
   uint64_t smt_skipped = 0;     // checks avoided by static pruning
+  // The pre-condition enumeration's work this run (0 when resumed).
+  uint64_t prefix_paths = 0;
+  uint64_t prefix_nodes = 0;
 };
 
 struct SummaryResult {

@@ -193,6 +193,42 @@ struct Engine::ExplorationContext {
     return p;
   }
 
+  // Loads one frontier state over the current one (see run_from): values
+  // and obligations onto the stacks, conds into the env, the stack and one
+  // solver scope, without checks. Returns whether it pushed that scope.
+  bool load(const PathResult& s) {
+    for (const auto& [f, v] : s.values) state.assign(f, v);
+    for (const HashObligation& o : s.obligations) state.add_obligation(o);
+    for (ir::ExprRef c : s.conds) {
+      if (env) env->assume(c);
+      state.add_cond(c);
+    }
+    if (!eng.opts_.incremental || s.conds.empty()) return false;
+    solver->push();
+    for (ir::ExprRef c : s.conds) solver->add(c);
+    return true;
+  }
+
+  // Rolls the stacks and the env back to the marks. The conds stack shrinks
+  // with them; the last-model verified prefix and the folded signature
+  // prefix unwind too (their surviving entries are untouched by the
+  // rollback). A conjunct leaves the signature only when its last stack
+  // occurrence pops — the mirror image of the fold in check_current_impl.
+  void unwind(const SymState::Mark& mark, analysis::PathEnv::Mark env_mark) {
+    if (env) env->rollback(env_mark);
+    state.rollback(mark);
+    last_model_conds = std::min(last_model_conds, state.conds().size());
+    while (folded.size() > state.conds().size()) {
+      ir::ExprRef c = folded.back();
+      auto it = on_stack.find(c);
+      if (--it->second == 0) {
+        sig = smt::PathCondCache::retract(sig, c);
+        on_stack.erase(it);
+      }
+      folded.pop_back();
+    }
+  }
+
   smt::CheckResult check_current();
   smt::CheckResult check_current_impl();
   // DFS from `id`. While `force` is set and `depth + 1 < force->size()`,
@@ -383,12 +419,20 @@ smt::CheckResult Engine::ExplorationContext::check_current_impl() {
     stats.solver.fast_path_hits += s->stats().fast_path_hits;
     stats.solver.sat_calls += s->stats().sat_calls;
     stats.solver.unknowns += s->stats().unknowns;
+    stats.solver.sat_decisions += s->stats().sat_decisions;
   }
   if (cache != nullptr) cache->insert(sig, r);  // kUnknown is ignored
   return r;
 }
 
 void Engine::run(const Sink& sink) {
+  Frontier start;
+  start.node = opts_.start == cfg::kNoNode ? g_.entry() : opts_.start;
+  start.states.emplace_back();
+  run_from(start, sink);
+}
+
+void Engine::run_from(const Frontier& from, const Sink& sink) {
   ExplorationContext ec(*this, opts_.fresh_ns);
   // An unsatisfiable precondition set prunes the whole exploration; check
   // it once up front (otherwise predicate-free paths would never be
@@ -402,8 +446,15 @@ void Engine::run(const Sink& sink) {
     }
   }
   ec.set_deadline(opts_.time_budget_seconds);
-  cfg::NodeId start = opts_.start == cfg::kNoNode ? g_.entry() : opts_.start;
-  ec.dfs(start, sink, nullptr, 0);
+  for (const PathResult& s : from.states) {
+    const SymState::Mark mark = ec.state.mark();
+    const analysis::PathEnv::Mark env_mark = ec.env ? ec.env->mark() : 0;
+    const bool pushed = ec.load(s);
+    ec.dfs(from.node, sink, nullptr, 0);
+    if (pushed) ec.solver->pop();
+    ec.unwind(mark, env_mark);
+    if (ec.aborted) break;
+  }
   ec.finish();
   stats_ = ec.stats;
 }
@@ -864,23 +915,7 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
   }
 
   if (pushed && opts.incremental) solver->pop();
-  if (env) env->rollback(env_mark);
-  state.rollback(mark);
-  // The conds stack just shrank; the last-model verified prefix and the
-  // folded signature prefix unwind with it (their surviving entries are
-  // untouched by the rollback). A conjunct leaves the signature only when
-  // its last stack occurrence pops — the mirror image of the fold in
-  // check_current_impl.
-  last_model_conds = std::min(last_model_conds, state.conds().size());
-  while (folded.size() > state.conds().size()) {
-    ir::ExprRef c = folded.back();
-    auto it = on_stack.find(c);
-    if (--it->second == 0) {
-      sig = smt::PathCondCache::retract(sig, c);
-      on_stack.erase(it);
-    }
-    folded.pop_back();
-  }
+  unwind(mark, env_mark);
 }
 
 std::optional<smt::Model> Engine::solve_for_model(const PathResult& r) {

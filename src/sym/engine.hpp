@@ -161,6 +161,14 @@ struct PathResult {
   int emit_instance = -1;
 };
 
+// Symbolic states at one CFG node, in the order a DFS reached them: the
+// valid paths of an exploration that stopped at `node`. Only each state's
+// conds, values and obligations are loaded; `path` is not needed.
+struct Frontier {
+  cfg::NodeId node = cfg::kNoNode;
+  std::vector<PathResult> states;
+};
+
 // Externally serializable progress of one prefix shard in run_parallel:
 // the results buffered so far, the *frontier* (the full node path of the
 // last emitted result, shard start to leaf — the DFS work-unit cursor),
@@ -216,8 +224,16 @@ class Engine {
   // Seeds the value stack (used by code summary: entry snapshots / V_pub).
   void seed_value(ir::FieldId f, ir::ExprRef value);
 
-  // Runs the DFS; invokes `sink` for every valid path found.
+  // Runs the DFS; invokes `sink` for every valid path found. The one-state
+  // case of run_from: the start node with an empty state.
   void run(const Sink& sink);
+  // Continues an earlier exploration: for each state of `from`, in order,
+  // loads its values and obligations over the seeds, asserts its conds,
+  // runs the DFS from `from.node` (executing that node's statement) and
+  // rolls the state back. Emitted paths start at `from.node`. Loading a
+  // state visits no node and spends no check: its conds were checked on
+  // the way to the frontier.
+  void run_from(const Frontier& from, const Sink& sink);
 
   // Parallel DFS: decomposes the exploration into a fixed, thread-count-
   // independent set of prefix shards, explores them on `threads` workers

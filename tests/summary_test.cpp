@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <regex>
+#include <set>
+#include <sstream>
 
+#include "apps/apps.hpp"
 #include "summary/summary.hpp"
 #include "sym/template.hpp"
 #include "testlib.hpp"
@@ -242,6 +247,190 @@ TEST(SummaryAtomicity, SwapEncodingUsesEntrySnapshots) {
   EXPECT_EQ(summ->state.at(sp), 10000u);
 }
 
+// ------------------------------------- frontier-extended pre-conditions
+
+// `$free.*` symbols renamed $0, $1, ... by first occurrence: a fresh name
+// carries the namespace of the enumeration that minted it, and extending a
+// frontier mints the prefix's symbols in the dominator's namespace.
+std::string canonical_free_names(const std::string& s) {
+  static const std::regex kFree(R"(\$free\.[A-Za-z0-9_.]+)");
+  std::unordered_map<std::string, std::string> names;
+  std::string out;
+  auto rest = s.cbegin();
+  for (std::sregex_iterator m(s.begin(), s.end(), kFree), end; m != end; ++m) {
+    out.append(rest, (*m)[0].first);
+    out += names.try_emplace(m->str(), "$" + std::to_string(names.size()))
+               .first->second;
+    rest = (*m)[0].second;
+  }
+  out.append(rest, s.cend());
+  return out;
+}
+
+// A pre-condition as text: conds in order; values, tops and value sets by
+// field name; then its frontier's states in order.
+std::string render(const ir::Context& ctx, const PreCondition& pc) {
+  auto str = [&](ir::ExprRef e) { return ir::to_string(e, ctx.fields); };
+  auto values = [&](const std::unordered_map<ir::FieldId, ir::ExprRef>& vs) {
+    std::map<std::string, std::string> sorted;
+    for (const auto& [f, v] : vs) sorted[ctx.fields.name(f)] = str(v);
+    std::string out;
+    for (const auto& [f, v] : sorted) out += " " + f + "=" + v;
+    return out;
+  };
+  std::ostringstream os;
+  os << "conds:";
+  for (ir::ExprRef c : pc.conds) os << " " << str(c);
+  os << "\nvalues:" << values(pc.values) << "\ntops:";
+  std::set<std::string> tops;
+  for (ir::FieldId f : pc.tops) tops.insert(ctx.fields.name(f));
+  for (const std::string& f : tops) os << " " << f;
+  os << "\nvalue sets:";
+  std::map<std::string, std::vector<uint64_t>> sets;
+  for (const auto& [f, vs] : pc.value_sets) sets[ctx.fields.name(f)] = vs;
+  for (const auto& [f, vs] : sets) {
+    os << " " << f << "={";
+    for (uint64_t v : vs) os << v << ",";
+    os << "}";
+  }
+  for (const PathResult& st : pc.frontier.states) {
+    os << "\nstate:";
+    for (ir::ExprRef c : st.conds) os << " " << str(c);
+    os << " |" << values(st.values) << " |";
+    for (const sym::HashObligation& o : st.obligations) {
+      os << " " << ctx.fields.name(o.placeholder) << "=hash(";
+      for (ir::ExprRef k : o.key_exprs) os << str(k) << ",";
+      os << ")";
+    }
+  }
+  return canonical_free_names(os.str());
+}
+
+// For every instance t of `original` with a nearest dominating instance d:
+// extending F_d on the summarized graph must reproduce the enumeration
+// from the CFG entry — pre-condition, prefix paths and t's own frontier,
+// in DFS order. Returns how many instances it checked.
+int expect_extension_matches_entry(ir::Context& ctx, const cfg::Cfg& original,
+                                   const cfg::Cfg& summarized) {
+  const std::vector<int> dom = nearest_dominators(original);
+  int checked = 0;
+  for (size_t t = 0; t < dom.size(); ++t) {
+    if (dom[t] < 0) continue;
+    const cfg::InstanceInfo& info = original.instances()[t];
+    PreconditionOptions po;
+    po.fresh_ns = "pre.d";
+    const PreCondition pd = compute_precondition(
+        ctx, summarized, original.instances()[dom[t]].entry, po);
+    po.fresh_ns = "pre.t";
+    const PreCondition entry =
+        compute_precondition(ctx, summarized, info.entry, po);
+    po.from = &pd.frontier;
+    const PreCondition extended =
+        compute_precondition(ctx, summarized, info.entry, po);
+    EXPECT_EQ(extended.prefix_paths, entry.prefix_paths) << info.name;
+    EXPECT_EQ(render(ctx, extended), render(ctx, entry)) << info.name;
+    // The entry DFS is d's enumeration plus the extension; d's entry is
+    // visited once per prefix path in each (d's stop, the extension's
+    // start).
+    EXPECT_EQ(entry.prefix_nodes,
+              pd.prefix_nodes + extended.prefix_nodes - pd.prefix_paths)
+        << info.name;
+    ++checked;
+  }
+  return checked;
+}
+
+apps::AppBundle gw4(ir::Context& ctx) {
+  apps::GwConfig cfg;
+  cfg.level = 4;  // 8 pipelines across 2 switches (gw-4, Fig. 1)
+  cfg.elastic_ips = 2;
+  return apps::make_gateway(ctx, cfg);
+}
+
+TEST(SummaryFrontier, ExtensionMatchesEntryEnumerationOnGw4) {
+  ir::Context ctx;
+  apps::AppBundle app = gw4(ctx);
+  cfg::Cfg g = cfg::build_cfg(app.dp, app.rules, ctx);
+  SummaryResult sr = summarize(ctx, g);
+  // Every pipeline but sw0.gig, the one the CFG entry leads to.
+  EXPECT_EQ(expect_extension_matches_entry(ctx, g, sr.graph), 7);
+}
+
+// Every node of `g` as text: statement or hash, successors and metadata.
+std::string graph_text(const ir::Context& ctx, const cfg::Cfg& g) {
+  std::ostringstream os;
+  for (cfg::NodeId id = 0; id < g.size(); ++id) {
+    const cfg::Node& n = g.node(id);
+    os << id << " inst " << n.instance << " exit "
+       << static_cast<int>(n.exit) << "/" << n.emit_instance << " label "
+       << n.label << ":";
+    if (n.is_hash) {
+      os << " hash " << ctx.fields.name(n.hash.dest) << " algo "
+         << static_cast<int>(n.hash.algo);
+      for (ir::FieldId k : n.hash.keys) os << " " << ctx.fields.name(k);
+      for (ir::ExprRef k : n.hash.key_exprs) {
+        os << " " << ir::to_string(k, ctx.fields);
+      }
+    } else {
+      os << " stmt " << static_cast<int>(n.stmt.kind);
+      if (n.stmt.target != ir::kInvalidField) {
+        os << " " << ctx.fields.name(n.stmt.target);
+      }
+      if (n.stmt.expr != nullptr) {
+        os << " " << ir::to_string(n.stmt.expr, ctx.fields);
+      }
+    }
+    os << " ->";
+    for (cfg::NodeId s : n.succ) os << " " << s;
+    os << "\n";
+  }
+  return os.str();
+}
+
+TEST(SummaryFrontier, ResumedDominatorsLeaveDominatedPipelinesUnchanged) {
+  // sw0.* and sw1.gig restored from a full run's units: sw1.seg, sw1.sig
+  // and sw1.geg are explored again, extending frontiers rebuilt on demand.
+  ir::Context ctx;
+  apps::AppBundle app = gw4(ctx);
+  const cfg::Cfg g = cfg::build_cfg(app.dp, app.rules, ctx);
+  smt::PathCondCache cache;
+  std::unordered_map<std::string, SummaryUnit> units;
+  SummaryHooks capture;
+  capture.on_unit = [&](size_t, const SummaryUnit& u) {
+    units[u.instance] = u;
+  };
+  SummaryOptions opts;
+  opts.shared_pc_cache = &cache;
+  opts.hooks = &capture;
+  const SummaryResult full = summarize(ctx, g, opts);
+
+  std::unordered_map<std::string, SummaryUnit> restored;
+  for (const char* name :
+       {"sw0.gig", "sw0.seg", "sw0.sig", "sw0.geg", "sw1.gig"}) {
+    restored.emplace(name, units.at(name));
+  }
+  SummaryHooks resume;
+  resume.resume = &restored;
+  opts.hooks = &resume;
+  const SummaryResult resumed = summarize(ctx, g, opts);
+  ASSERT_EQ(resumed.resumed_pipelines, 5u);
+  EXPECT_EQ(graph_text(ctx, resumed.graph), graph_text(ctx, full.graph));
+
+  // Fresh names reach a pipeline only through its entry constraints, and
+  // those key the shared verdict cache (Engine::precond_sig_). So the
+  // re-explored pipelines find every verdict of the full run in the cache,
+  // spending no solver check, only if their pre-conditions — constraint
+  // strings, fresh names included — are the full run's.
+  uint64_t full_checks = 0;
+  for (size_t k = 5; k < 8; ++k) {
+    ASSERT_EQ(resumed.per_pipeline[k].instance, g.instances()[k].name);
+    full_checks += full.per_pipeline[k].smt_checks;
+    EXPECT_EQ(resumed.per_pipeline[k].smt_checks, 0u)
+        << resumed.per_pipeline[k].instance;
+  }
+  EXPECT_GT(full_checks, 0u);
+}
+
 // ------------------------- randomized property test ----------------------
 
 // Summary must preserve (1) the number of valid paths and (2) concrete
@@ -260,6 +449,7 @@ TEST_P(SummaryProperty, PreservesValidPathsOnRandomCfgs) {
     auto after = explore(ctx, sr.graph);
     ASSERT_EQ(before.size(), after.size())
         << "seed " << GetParam() << " round " << round;
+    expect_extension_matches_entry(ctx, g, sr.graph);
 
     std::vector<ir::FieldId> observed = testlib::random_cfg_fields(ctx);
     Engine eng(ctx, sr.graph);
