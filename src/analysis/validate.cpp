@@ -47,22 +47,6 @@ const Obligation* ValidationResult::first_refuted() const noexcept {
 
 namespace {
 
-// `expr == const` conjuncts, as the engine's hash-pinning mines them
-// (sym/engine.cpp). The walk must replicate the engine's concrete-hash
-// decisions exactly, or hash-carrying paths would spuriously diverge.
-void collect_eq_pins(ir::ExprRef c,
-                     std::unordered_map<ir::ExprRef, uint64_t>& pins) {
-  if (c->kind == ir::ExprKind::kBool && c->bool_op() == ir::BoolOp::kAnd) {
-    collect_eq_pins(c->lhs, pins);
-    collect_eq_pins(c->rhs, pins);
-    return;
-  }
-  if (c->kind == ir::ExprKind::kCmp && c->cmp_op() == ir::CmpOp::kEq &&
-      c->rhs->kind == ir::ExprKind::kConst) {
-    pins.emplace(c->lhs, c->rhs->value);
-  }
-}
-
 // One re-derived valid internal path, in pipeline-entry terms (seeded
 // fields appear as their "@field@inst" snapshot variables, exactly the
 // summarizer's vocabulary, so sound summaries compare pointer-equal).
@@ -215,37 +199,14 @@ class PipelineValidator {
     return f;
   }
 
-  // Engine-equivalent hash evaluation: concrete when every key is pinned
-  // (by value or by an equality conjunct), a shared symbol otherwise.
+  // Engine-equivalent hash evaluation (sym::concrete_hash): concrete when
+  // every key is pinned, a shared symbol otherwise.
   ir::ExprRef eval_hash(const cfg::Node& n, std::vector<ir::ExprRef> keys,
                         const std::vector<ir::ExprRef>& path_conds) {
-    bool all_const = true;
-    for (ir::ExprRef k : keys) all_const &= k->is_const();
-    if (!all_const) {
-      std::unordered_map<ir::ExprRef, uint64_t> pins;
-      for (ir::ExprRef c : path_conds) collect_eq_pins(c, pins);
-      for (ir::ExprRef c : base_) collect_eq_pins(c, pins);
-      all_const = true;
-      for (ir::ExprRef& k : keys) {
-        if (k->is_const()) continue;
-        auto it = pins.find(k);
-        if (it != pins.end()) {
-          k = ctx_.arena.constant(it->second, k->width);
-        } else {
-          all_const = false;
-        }
-      }
-    }
     const int dest_w = ctx_.fields.width(n.hash.dest);
-    if (all_const) {
-      std::vector<uint64_t> kv;
-      std::vector<int> kw;
-      for (ir::ExprRef e : keys) {
-        kv.push_back(e->value);
-        kw.push_back(e->width);
-      }
-      const uint64_t h = p4::compute_hash(n.hash.algo, kv, kw, dest_w);
-      return ctx_.arena.constant(h, dest_w);
+    if (ir::ExprRef h = sym::concrete_hash(ctx_, n.hash.algo, keys, dest_w,
+                                           path_conds, base_)) {
+      return h;
     }
     return ctx_.var(hash_symbol(n.hash.algo, keys, dest_w));
   }

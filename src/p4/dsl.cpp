@@ -1,157 +1,29 @@
 #include "p4/dsl.hpp"
 
-#include <cctype>
-#include <unordered_map>
+#include <climits>
 
-#include "util/error.hpp"
-#include "util/strings.hpp"
+#include "p4/parse.hpp"
+#include "util/bits.hpp"
 
 namespace meissa::p4 {
 
 namespace {
 
-// ------------------------------------------------------------------ Lexer
+// The most cells one `register` declaration may intern.
+constexpr uint64_t kMaxRegisterCells = 4096;
 
-enum class Tok : uint8_t { kIdent, kNumber, kPunct, kEnd };
-
-struct Token {
-  Tok kind = Tok::kEnd;
-  std::string text;
-  uint64_t number = 0;
-  int line = 1;
-  int column = 1;  // 1-based column of the token's first character
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view src) : src_(src) { advance(); }
-
-  const Token& peek() const { return tok_; }
-  Token take() {
-    Token t = tok_;
-    advance();
-    return t;
-  }
-  int line() const { return tok_.line; }
-  int column() const { return tok_.column; }
-  // Full text of the source line holding the current token (for the
-  // caret-annotated snippet in parse errors).
-  std::string line_text() const {
-    size_t end = src_.find('\n', tok_line_start_);
-    if (end == std::string_view::npos) end = src_.size();
-    return std::string(src_.substr(tok_line_start_, end - tok_line_start_));
-  }
-
- private:
-  void advance() {
-    skip_space_and_comments();
-    tok_ = Token{};
-    tok_.line = line_;
-    tok_.column = static_cast<int>(pos_ - line_start_) + 1;
-    tok_line_start_ = line_start_;
-    if (pos_ >= src_.size()) {
-      tok_.kind = Tok::kEnd;
-      return;
-    }
-    char c = src_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      size_t start = pos_;
-      while (pos_ < src_.size() && ident_char(src_[pos_])) ++pos_;
-      tok_.kind = Tok::kIdent;
-      tok_.text = std::string(src_.substr(start, pos_ - start));
-      return;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      size_t start = pos_;
-      int base = 10;
-      if (c == '0' && pos_ + 1 < src_.size() &&
-          (src_[pos_ + 1] == 'x' || src_[pos_ + 1] == 'X')) {
-        base = 16;
-        pos_ += 2;
-      }
-      while (pos_ < src_.size() &&
-             std::isxdigit(static_cast<unsigned char>(src_[pos_]))) {
-        ++pos_;
-      }
-      tok_.kind = Tok::kNumber;
-      std::string text(src_.substr(start, pos_ - start));
-      tok_.text = text;
-      tok_.number = std::stoull(base == 16 ? text.substr(2) : text, nullptr,
-                                base);
-      return;
-    }
-    // Multi-character punctuation first.
-    static const char* multi[] = {"->", "==", "!=", "<=", ">=", "&&",
-                                  "||", "<<", ">>", ".."};
-    for (const char* m : multi) {
-      if (src_.substr(pos_).rfind(m, 0) == 0) {
-        tok_.kind = Tok::kPunct;
-        tok_.text = m;
-        pos_ += 2;
-        return;
-      }
-    }
-    tok_.kind = Tok::kPunct;
-    tok_.text = std::string(1, c);
-    ++pos_;
-  }
-
-  bool ident_char(char c) const {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      return true;
-    }
-    // A dot continues an identifier only when followed by another
-    // identifier character (so `0..5` and `a . b` don't glue).
-    if (c == '.') {
-      size_t next = pos_ + 1;
-      // find position of this '.' relative to current scan
-      return next < src_.size() &&
-             (std::isalnum(static_cast<unsigned char>(src_[next])) ||
-              src_[next] == '_' || src_[next] == '$');
-    }
-    return false;
-  }
-
-  void skip_space_and_comments() {
-    while (pos_ < src_.size()) {
-      char c = src_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-        line_start_ = pos_;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '#' ||
-                 (c == '/' && pos_ + 1 < src_.size() && src_[pos_ + 1] == '/')) {
-        while (pos_ < src_.size() && src_[pos_] != '\n') ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  std::string_view src_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  size_t line_start_ = 0;      // offset where the current scan line begins
-  size_t tok_line_start_ = 0;  // offset where the current token's line begins
-  Token tok_;
-};
-
-// ----------------------------------------------------------------- Parser
-
-class M4Parser {
+class M4Parser final : public ExprParser {
  public:
   M4Parser(std::string_view src, ir::Context& ctx)
-      : lex_(src), ctx_(ctx), builder_(ctx, "m4") {}
+      : ExprParser(src, ctx), builder_(ctx, "m4") {}
 
   ParsedUnit parse() {
     // `program <name>;`
     expect_ident("program");
-    prog_name_ = expect(Tok::kIdent).text;
+    prog_name_ = take_ident();
     expect_punct(";");
     while (lex_.peek().kind != Tok::kEnd) {
-      const std::string& kw = expect(Tok::kIdent).text;
+      const std::string& kw = take_ident();
       if (kw == "header") {
         parse_header();
       } else if (kw == "metadata") {
@@ -183,79 +55,42 @@ class M4Parser {
   }
 
  private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw util::ParseError(what, lex_.line(), lex_.column(), lex_.line_text());
+  int expect_width() {
+    return static_cast<int>(expect_number(1, 64, "bit width"));
   }
-
-  Token expect(Tok kind) {
-    if (lex_.peek().kind != kind) {
-      fail("expected " + std::string(kind == Tok::kIdent ? "identifier"
-                                     : kind == Tok::kNumber ? "number"
-                                                            : "symbol") +
-           ", got '" + lex_.peek().text + "'");
-    }
-    return lex_.take();
-  }
-
-  void expect_punct(const std::string& p) {
-    if (lex_.peek().kind != Tok::kPunct || lex_.peek().text != p) {
-      fail("expected '" + p + "', got '" + lex_.peek().text + "'");
-    }
-    lex_.take();
-  }
-
-  void expect_ident(const std::string& word) {
-    if (lex_.peek().kind != Tok::kIdent || lex_.peek().text != word) {
-      fail("expected '" + word + "', got '" + lex_.peek().text + "'");
-    }
-    lex_.take();
-  }
-
-  bool accept_punct(const std::string& p) {
-    if (lex_.peek().kind == Tok::kPunct && lex_.peek().text == p) {
-      lex_.take();
-      return true;
-    }
-    return false;
-  }
-
-  bool accept_ident(const std::string& word) {
-    if (lex_.peek().kind == Tok::kIdent && lex_.peek().text == word) {
-      lex_.take();
-      return true;
-    }
-    return false;
+  int expect_int(std::string_view what) {
+    return static_cast<int>(expect_number(0, INT_MAX, what));
   }
 
   // ----- declarations -----------------------------------------------------
 
   void parse_header() {
-    std::string name = expect(Tok::kIdent).text;
+    std::string name = take_ident();
     expect_punct("{");
     std::vector<FieldDef> fields;
     while (!accept_punct("}")) {
-      std::string f = expect(Tok::kIdent).text;
+      std::string f = take_ident();
       expect_punct(":");
-      fields.push_back({f, static_cast<int>(expect(Tok::kNumber).number)});
+      fields.push_back({f, expect_width()});
       expect_punct(";");
     }
     builder_.header(std::move(name), std::move(fields));
   }
 
   void parse_metadata() {
-    std::string name = expect(Tok::kIdent).text;
+    std::string name = take_ident();
     expect_punct(":");
-    int width = static_cast<int>(expect(Tok::kNumber).number);
+    int width = expect_width();
     expect_punct(";");
     builder_.metadata_field(std::move(name), width);
   }
 
   void parse_register() {
-    std::string name = expect(Tok::kIdent).text;
+    std::string name = take_ident();
     expect_punct(":");
-    int width = static_cast<int>(expect(Tok::kNumber).number);
+    int width = expect_width();
     expect_punct("[");
-    size_t cells = expect(Tok::kNumber).number;
+    size_t cells = expect_number(0, kMaxRegisterCells, "register cell count");
     expect_punct("]");
     expect_punct(";");
     builder_.register_array(std::move(name), width, cells);
@@ -263,14 +98,13 @@ class M4Parser {
 
   void parse_action() {
     ActionDef a;
-    a.name = expect(Tok::kIdent).text;
+    a.name = take_ident();
     expect_punct("(");
     if (!accept_punct(")")) {
       do {
-        std::string p = expect(Tok::kIdent).text;
+        std::string p = take_ident();
         expect_punct(":");
-        a.params.push_back(
-            {p, static_cast<int>(expect(Tok::kNumber).number)});
+        a.params.push_back({p, expect_width()});
       } while (accept_punct(","));
       expect_punct(")");
     }
@@ -288,10 +122,10 @@ class M4Parser {
   }
 
   ActionOp parse_stmt() {
-    std::string head = expect(Tok::kIdent).text;
+    std::string head = take_ident();
     if (head == "set_valid" || head == "set_invalid") {
       expect_punct("(");
-      std::string h = expect(Tok::kIdent).text;
+      std::string h = take_ident();
       expect_punct(")");
       expect_punct(";");
       return head == "set_valid" ? ActionOp::set_valid(std::move(h))
@@ -306,7 +140,7 @@ class M4Parser {
       expect_punct("(");
       std::vector<std::string> keys;
       do {
-        keys.push_back(expect(Tok::kIdent).text);
+        keys.push_back(take_ident());
       } while (accept_punct(","));
       expect_punct(")");
       expect_punct(";");
@@ -328,17 +162,16 @@ class M4Parser {
     return ActionOp::assign(std::move(head), value);
   }
 
-  // ----- expressions (precedence climbing) --------------------------------
+  // ----- expression leaves --------------------------------------------------
 
   std::optional<int> field_width(const std::string& name) {
-    // Builder's program is still being built; consult its declarations.
     if (current_action_ != nullptr) {
       for (const FieldDef& p : current_action_->params) {
         if (p.name == name) return p.width;
       }
     }
-    // Temporarily materialize: ProgramBuilder keeps declarations inside;
-    // we track widths through the context (fields are interned eagerly).
+    // The program is still being built: declared fields are interned
+    // eagerly, so the context knows their widths.
     ir::FieldId f = ctx_.fields.find(name);
     if (f != ir::kInvalidField) return ctx_.fields.width(f);
     if (name == kIngressPort || name == kEgressSpec) return kPortWidth;
@@ -346,7 +179,14 @@ class M4Parser {
     return std::nullopt;
   }
 
-  ir::ExprRef leaf_for(const std::string& name) {
+  // An M4 leaf: `valid(<header>)`, an action parameter, or a field.
+  ir::ExprRef leaf(const Token& ident) override {
+    const std::string& name = ident.text;
+    if (name == "valid" && accept_punct("(")) {
+      std::string h = take_ident();
+      expect_punct(")");
+      return builder_.is_valid(h);
+    }
     if (current_action_ != nullptr) {
       for (const FieldDef& p : current_action_->params) {
         if (p.name == name) {
@@ -355,131 +195,23 @@ class M4Parser {
       }
     }
     std::optional<int> w = field_width(name);
-    if (!w) fail("unknown field '" + name + "' in expression");
+    if (!w) lex_.fail_at(ident, "unknown field '" + name + "' in expression");
     return ctx_.field_var(name, *w);
-  }
-
-  ir::ExprRef parse_primary(int width_hint) {
-    if (accept_punct("(")) {
-      ir::ExprRef e = parse_expr(width_hint);
-      expect_punct(")");
-      return e;
-    }
-    if (accept_punct("!")) {
-      ir::ExprRef e = parse_primary(width_hint);
-      if (!e->is_bool()) fail("'!' applied to a non-boolean");
-      return ctx_.arena.bnot(e);
-    }
-    if (lex_.peek().kind == Tok::kNumber) {
-      Token t = lex_.take();
-      // Constant widths come from context (the other operand) or default
-      // to the smallest width that fits.
-      int w = width_hint;
-      if (w <= 0) {
-        w = 1;
-        while (!util::fits(t.number, w)) ++w;
-      }
-      if (!util::fits(t.number, w)) {
-        fail("constant " + t.text + " does not fit in " + std::to_string(w) +
-             " bits");
-      }
-      return ctx_.arena.constant(t.number, w);
-    }
-    Token t = expect(Tok::kIdent);
-    if (t.text == "valid" && accept_punct("(")) {
-      std::string h = expect(Tok::kIdent).text;
-      expect_punct(")");
-      return builder_.is_valid(h);
-    }
-    return leaf_for(t.text);
-  }
-
-  // Binary operator precedence (higher binds tighter).
-  int precedence(const std::string& op) {
-    if (op == "||") return 1;
-    if (op == "&&") return 2;
-    if (op == "==" || op == "!=" || op == "<" || op == "<=" || op == ">" ||
-        op == ">=") {
-      return 3;
-    }
-    if (op == "|") return 4;
-    if (op == "^") return 5;
-    if (op == "&") return 6;
-    if (op == "<<" || op == ">>") return 7;
-    if (op == "+" || op == "-") return 8;
-    return -1;
-  }
-
-  ir::ExprRef combine(const std::string& op, ir::ExprRef a, ir::ExprRef b) {
-    auto need_arith = [&](ir::ExprRef x) {
-      if (x->is_bool()) fail("boolean operand to '" + op + "'");
-    };
-    auto need_bool = [&](ir::ExprRef x) {
-      if (!x->is_bool()) fail("non-boolean operand to '" + op + "'");
-    };
-    if (op == "||" || op == "&&") {
-      need_bool(a);
-      need_bool(b);
-      return op == "||" ? ctx_.arena.bor(a, b) : ctx_.arena.band(a, b);
-    }
-    need_arith(a);
-    need_arith(b);
-    if (a->width != b->width) {
-      fail("operand width mismatch for '" + op + "'");
-    }
-    if (op == "==") return ctx_.arena.cmp(ir::CmpOp::kEq, a, b);
-    if (op == "!=") return ctx_.arena.cmp(ir::CmpOp::kNe, a, b);
-    if (op == "<") return ctx_.arena.cmp(ir::CmpOp::kLt, a, b);
-    if (op == "<=") return ctx_.arena.cmp(ir::CmpOp::kLe, a, b);
-    if (op == ">") return ctx_.arena.cmp(ir::CmpOp::kGt, a, b);
-    if (op == ">=") return ctx_.arena.cmp(ir::CmpOp::kGe, a, b);
-    ir::ArithOp aop;
-    if (op == "+") aop = ir::ArithOp::kAdd;
-    else if (op == "-") aop = ir::ArithOp::kSub;
-    else if (op == "&") aop = ir::ArithOp::kAnd;
-    else if (op == "|") aop = ir::ArithOp::kOr;
-    else if (op == "^") aop = ir::ArithOp::kXor;
-    else if (op == "<<") aop = ir::ArithOp::kShl;
-    else if (op == ">>") aop = ir::ArithOp::kShr;
-    else fail("unknown operator '" + op + "'");
-    return ctx_.arena.arith(aop, a, b);
-  }
-
-  // Peeks ahead to find a width hint when the left operand is a number
-  // (e.g. `5 < hdr.ipv4.ttl` — rare, but keep constants flexible).
-  ir::ExprRef parse_expr(int width_hint = 0) {
-    return parse_binary(parse_primary(width_hint), 0, width_hint);
-  }
-
-  ir::ExprRef parse_binary(ir::ExprRef lhs, int min_prec, int width_hint) {
-    while (lex_.peek().kind == Tok::kPunct &&
-           precedence(lex_.peek().text) >= std::max(min_prec, 1)) {
-      std::string op = lex_.take().text;
-      int prec = precedence(op);
-      int hint = lhs->is_bool() ? width_hint : lhs->width;
-      ir::ExprRef rhs = parse_primary(hint);
-      while (lex_.peek().kind == Tok::kPunct &&
-             precedence(lex_.peek().text) > prec) {
-        rhs = parse_binary(rhs, precedence(lex_.peek().text), hint);
-      }
-      lhs = combine(op, lhs, rhs);
-    }
-    return lhs;
   }
 
   // ----- tables -------------------------------------------------------------
 
   void parse_table() {
     TableDef t;
-    t.name = expect(Tok::kIdent).text;
+    t.name = take_ident();
     expect_punct("{");
     while (!accept_punct("}")) {
-      std::string kw = expect(Tok::kIdent).text;
+      std::string kw = take_ident();
       if (kw == "key") {
         do {
-          std::string f = expect(Tok::kIdent).text;
+          std::string f = take_ident();
           expect_punct(":");
-          std::string kind = expect(Tok::kIdent).text;
+          std::string kind = take_ident();
           MatchKind mk;
           if (kind == "exact") mk = MatchKind::kExact;
           else if (kind == "ternary") mk = MatchKind::kTernary;
@@ -491,11 +223,11 @@ class M4Parser {
         expect_punct(";");
       } else if (kw == "actions") {
         do {
-          t.actions.push_back(expect(Tok::kIdent).text);
+          t.actions.push_back(take_ident());
         } while (accept_punct(","));
         expect_punct(";");
       } else if (kw == "default") {
-        t.default_action = expect(Tok::kIdent).text;
+        t.default_action = take_ident();
         expect_punct("(");
         if (!accept_punct(")")) {
           do {
@@ -515,10 +247,10 @@ class M4Parser {
 
   void parse_pipeline() {
     PipelineDef p;
-    p.name = expect(Tok::kIdent).text;
+    p.name = take_ident();
     expect_punct("{");
     while (!accept_punct("}")) {
-      std::string kw = expect(Tok::kIdent).text;
+      std::string kw = take_ident();
       if (kw == "parser") {
         parse_parser(p.parser);
       } else if (kw == "control") {
@@ -539,31 +271,31 @@ class M4Parser {
     while (!accept_punct("}")) {
       expect_ident("state");
       ParserState s;
-      s.name = expect(Tok::kIdent).text;
+      s.name = take_ident();
       if (first) {
         parser.start = s.name;
         first = false;
       }
       expect_punct("{");
       while (!accept_punct("}")) {
-        std::string kw = expect(Tok::kIdent).text;
+        std::string kw = take_ident();
         if (kw == "extract") {
           do {
-            s.extracts.push_back(expect(Tok::kIdent).text);
+            s.extracts.push_back(take_ident());
           } while (accept_punct(","));
           expect_punct(";");
         } else if (kw == "goto") {
-          s.default_next = expect(Tok::kIdent).text;
+          s.default_next = take_ident();
           expect_punct(";");
         } else if (kw == "select") {
-          s.select_field = expect(Tok::kIdent).text;
+          s.select_field = take_ident();
           std::optional<int> w = field_width(s.select_field);
           if (!w) fail("select on unknown field '" + s.select_field + "'");
           expect_punct("{");
           while (!accept_punct("}")) {
             if (accept_ident("default")) {
               expect_punct("->");
-              s.default_next = expect(Tok::kIdent).text;
+              s.default_next = take_ident();
               expect_punct(";");
               continue;
             }
@@ -572,7 +304,7 @@ class M4Parser {
             tr.mask = util::mask_bits(*w);
             if (accept_punct("/")) tr.mask = expect(Tok::kNumber).number;
             expect_punct("->");
-            tr.next = expect(Tok::kIdent).text;
+            tr.next = take_ident();
             expect_punct(";");
             s.cases.push_back(tr);
           }
@@ -588,9 +320,10 @@ class M4Parser {
     ControlBlock b;
     while (!accept_punct("}")) {
       if (accept_ident("apply")) {
-        b.stmts.push_back(ControlStmt::apply(expect(Tok::kIdent).text));
+        b.stmts.push_back(ControlStmt::apply(take_ident()));
         expect_punct(";");
       } else if (accept_ident("if")) {
+        Nested nested(*this);
         expect_punct("(");
         ir::ExprRef cond = parse_expr();
         if (!cond->is_bool()) fail("if-condition must be boolean");
@@ -614,20 +347,20 @@ class M4Parser {
   void parse_deparser(Deparser& d) {
     expect_punct("{");
     while (!accept_punct("}")) {
-      std::string kw = expect(Tok::kIdent).text;
+      std::string kw = take_ident();
       if (kw == "emit") {
         do {
-          d.emit_order.push_back(expect(Tok::kIdent).text);
+          d.emit_order.push_back(take_ident());
         } while (accept_punct(","));
         expect_punct(";");
       } else if (kw == "checksum") {
         ChecksumUpdate u;
-        u.dest = expect(Tok::kIdent).text;
+        u.dest = take_ident();
         expect_ident("over");
-        u.guard_header = expect(Tok::kIdent).text;
+        u.guard_header = take_ident();
         expect_punct("(");
         do {
-          u.sources.push_back(expect(Tok::kIdent).text);
+          u.sources.push_back(take_ident());
         } while (accept_punct(","));
         expect_punct(")");
         expect_punct(";");
@@ -643,28 +376,28 @@ class M4Parser {
   void parse_topology() {
     expect_punct("{");
     while (!accept_punct("}")) {
-      std::string kw = expect(Tok::kIdent).text;
+      std::string kw = take_ident();
       if (kw == "instance") {
         PipeInstance inst;
-        inst.name = expect(Tok::kIdent).text;
+        inst.name = take_ident();
         expect_punct("=");
-        inst.pipeline = expect(Tok::kIdent).text;
+        inst.pipeline = take_ident();
         expect_punct("@");
         expect_ident("switch");
-        inst.switch_id = static_cast<int>(expect(Tok::kNumber).number);
+        inst.switch_id = expect_int("switch id");
         expect_punct(";");
         topology_.instances.push_back(std::move(inst));
       } else if (kw == "entry") {
         EntryPoint e;
-        e.instance = expect(Tok::kIdent).text;
+        e.instance = take_ident();
         if (accept_ident("when")) e.guard = parse_expr();
         expect_punct(";");
         topology_.entries.push_back(std::move(e));
       } else if (kw == "edge") {
         TopoEdge e;
-        e.from = expect(Tok::kIdent).text;
+        e.from = take_ident();
         expect_punct("->");
-        e.to = expect(Tok::kIdent).text;
+        e.to = take_ident();
         if (accept_ident("when")) e.guard = parse_expr();
         expect_punct(";");
         topology_.edges.push_back(std::move(e));
@@ -678,10 +411,10 @@ class M4Parser {
     expect_punct("{");
     while (!accept_punct("}")) {
       TableEntry e;
-      e.table = expect(Tok::kIdent).text;
+      e.table = take_ident();
       expect_punct(":");
       do {
-        std::string kind = expect(Tok::kIdent).text;
+        std::string kind = take_ident();
         KeyMatch m;
         if (kind == "exact") {
           m = KeyMatch::exact(expect(Tok::kNumber).number);
@@ -692,7 +425,7 @@ class M4Parser {
         } else if (kind == "lpm") {
           uint64_t v = expect(Tok::kNumber).number;
           expect_punct("/");
-          m = KeyMatch::lpm(v, static_cast<int>(expect(Tok::kNumber).number));
+          m = KeyMatch::lpm(v, expect_int("prefix length"));
         } else if (kind == "range") {
           uint64_t lo = expect(Tok::kNumber).number;
           expect_punct("..");
@@ -705,10 +438,10 @@ class M4Parser {
         e.matches.push_back(m);
       } while (accept_punct(","));
       if (accept_ident("prio")) {
-        e.priority = static_cast<int>(expect(Tok::kNumber).number);
+        e.priority = expect_int("priority");
       }
       expect_punct("->");
-      e.action = expect(Tok::kIdent).text;
+      e.action = take_ident();
       expect_punct("(");
       if (!accept_punct(")")) {
         do {
@@ -721,8 +454,6 @@ class M4Parser {
     }
   }
 
-  Lexer lex_;
-  ir::Context& ctx_;
   ProgramBuilder builder_;
   std::string prog_name_;
   ActionDef* current_action_ = nullptr;

@@ -27,8 +27,10 @@
 //     match := exact <int> | ternary <int>/<int> | lpm <int>/<len>
 //            | range <int>..<int> | any
 //
-// Expressions support || && ! == != < <= > >= + - & | ^ << >> and
-// parentheses; `valid(<header>)` abbreviates `hdr.<h>.$valid == 1`.
+// Tokens, comments and expressions are the shared front end's
+// (p4/parse.hpp); `valid(<header>)` abbreviates `hdr.<h>.$valid == 1`.
+// Widths lie in [1, 64], a register has at most 4,096 cells, and switch
+// ids, prefix lengths and priorities fit an int.
 #pragma once
 
 #include <string_view>
@@ -43,7 +45,7 @@ struct ParsedUnit {
 };
 
 // Parses a full M4 unit (program + topology + optional rules). Throws
-// util::ParseError with a line number on malformed input and
+// util::ParseError with line, column and snippet on malformed input and
 // util::ValidationError on semantic problems.
 ParsedUnit parse_m4(std::string_view source, ir::Context& ctx);
 

@@ -11,7 +11,7 @@
 //
 // Field references use the program's full field names prefixed with `in.`
 // or `out.` (e.g. in.hdr.ipv4.dst, out.hdr.tcp.dport, in.$port).
-// Expressions support the same operators as the M4 DSL.
+// Tokens, comments and expressions are the M4 DSL's (p4/parse.hpp).
 #pragma once
 
 #include <string_view>
@@ -22,7 +22,8 @@
 namespace meissa::spec {
 
 // Parses a sequence of intents against `prog`'s declarations. Throws
-// util::ParseError / util::ValidationError on bad input.
+// util::ParseError (with line, column and snippet) or
+// util::ValidationError on bad input.
 std::vector<Intent> parse_lpi(std::string_view source, ir::Context& ctx,
                               const p4::Program& prog);
 

@@ -36,6 +36,31 @@ constexpr size_t kTargetShards = 32;
 
 }  // namespace
 
+ir::ExprRef concrete_hash(ir::Context& ctx, p4::HashAlgo algo,
+                          std::vector<ir::ExprRef>& keys, int dest_width,
+                          const std::vector<ir::ExprRef>& conds,
+                          const std::vector<ir::ExprRef>& preconds) {
+  auto is_const = [](ir::ExprRef k) { return k->is_const(); };
+  if (!std::all_of(keys.begin(), keys.end(), is_const)) {
+    std::unordered_map<ir::ExprRef, uint64_t> pins;
+    for (ir::ExprRef c : conds) collect_eq_pins(c, pins);
+    for (ir::ExprRef c : preconds) collect_eq_pins(c, pins);
+    for (ir::ExprRef& k : keys) {
+      auto it = k->is_const() ? pins.end() : pins.find(k);
+      if (it != pins.end()) k = ctx.arena.constant(it->second, k->width);
+    }
+    if (!std::all_of(keys.begin(), keys.end(), is_const)) return nullptr;
+  }
+  std::vector<uint64_t> kv;
+  std::vector<int> kw;
+  for (ir::ExprRef k : keys) {
+    kv.push_back(k->value);
+    kw.push_back(k->width);
+  }
+  return ctx.arena.constant(p4::compute_hash(algo, kv, kw, dest_width),
+                            dest_width);
+}
+
 // One exploration's mutable state: the paper's V and C stacks, the
 // incremental solver, the node path, and counters. The owning Engine holds
 // only immutable configuration (graph, options, preconditions, seeds), so
@@ -720,46 +745,15 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
       // otherwise leave the destination unconstrained and record an
       // obligation for the driver.
       std::vector<ir::ExprRef> keys;
-      bool all_const = true;
-      for (ir::FieldId k : n.hash.keys) {
-        keys.push_back(state.value_of(k));
-        all_const &= keys.back()->is_const();
-      }
       if (!n.hash.key_exprs.empty()) {
-        keys.clear();
-        all_const = true;
-        for (ir::ExprRef e : n.hash.key_exprs) {
-          keys.push_back(state.subst(e));
-          all_const &= keys.back()->is_const();
-        }
-      }
-      if (!all_const) {
-        // Keys not pinned by assignment may still be pinned by equality
-        // conditions on the path (e.g. exact table matches).
-        std::unordered_map<ir::ExprRef, uint64_t> pins;
-        for (ir::ExprRef c : state.conds()) collect_eq_pins(c, pins);
-        for (ir::ExprRef c : eng.preconds_) collect_eq_pins(c, pins);
-        all_const = true;
-        for (ir::ExprRef& k : keys) {
-          if (k->is_const()) continue;
-          auto it = pins.find(k);
-          if (it != pins.end()) {
-            k = eng.ctx_.arena.constant(it->second, k->width);
-          } else {
-            all_const = false;
-          }
-        }
+        for (ir::ExprRef e : n.hash.key_exprs) keys.push_back(state.subst(e));
+      } else {
+        for (ir::FieldId k : n.hash.keys) keys.push_back(state.value_of(k));
       }
       const int dest_w = eng.ctx_.fields.width(n.hash.dest);
-      if (all_const) {
-        std::vector<uint64_t> kv;
-        std::vector<int> kw;
-        for (ir::ExprRef e : keys) {
-          kv.push_back(e->value);
-          kw.push_back(e->width);
-        }
-        uint64_t h = p4::compute_hash(n.hash.algo, kv, kw, dest_w);
-        state.assign(n.hash.dest, eng.ctx_.arena.constant(h, dest_w));
+      if (ir::ExprRef h = concrete_hash(eng.ctx_, n.hash.algo, keys, dest_w,
+                                        state.conds(), eng.preconds_)) {
+        state.assign(n.hash.dest, h);
       } else {
         ir::FieldId fresh = state.fresh_symbol(dest_w);
         state.assign(n.hash.dest, eng.ctx_.var(fresh));

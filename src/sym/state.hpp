@@ -23,6 +23,17 @@ struct HashObligation {
   std::vector<int> key_widths;
 };
 
+// Paper §4's concrete-hash rule, shared by the engine and the summary
+// validator so both make the same decisions: a hash is computed when every
+// key is a constant or is pinned by an `expr == const` conjunct of `conds`
+// or `preconds` (e.g. an exact table match). Pinned keys are rewritten to
+// constants in place. Returns the `dest_width`-bit hash value, or nullptr
+// when some key stays symbolic.
+ir::ExprRef concrete_hash(ir::Context& ctx, p4::HashAlgo algo,
+                          std::vector<ir::ExprRef>& keys, int dest_width,
+                          const std::vector<ir::ExprRef>& conds,
+                          const std::vector<ir::ExprRef>& preconds);
+
 // The mutable symbolic state of one DFS exploration. All three stacks
 // (values, conditions, hash obligations) support mark/rollback.
 class SymState {

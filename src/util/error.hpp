@@ -5,6 +5,7 @@
 // expected outcomes (UNSAT queries, failed test cases).
 #pragma once
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -19,18 +20,15 @@ class Error : public std::runtime_error {
 // Input that does not conform to the expected language/format.
 class ParseError : public Error {
  public:
-  ParseError(const std::string& what, int line)
-      : Error("parse error (line " + std::to_string(line) + "): " + what),
-        line_(line) {}
-  // Column-aware form: `context` is the offending source line, rendered
-  // beneath the message with a caret under `column` (1-based).
+  // `context` is the offending source line, rendered beneath the message
+  // with a caret under `column` (1-based).
   ParseError(const std::string& what, int line, int column,
              const std::string& context)
       : Error(annotate(what, line, column, context)),
         line_(line),
         column_(column) {}
   int line() const noexcept { return line_; }
-  // 1-based column of the offending token; 0 when unknown.
+  // 1-based column of the offending token.
   int column() const noexcept { return column_; }
 
  private:
@@ -39,17 +37,25 @@ class ParseError : public Error {
     std::string msg = "parse error (line " + std::to_string(line) + ", col " +
                       std::to_string(column) + "): " + what;
     if (!context.empty()) {
-      msg += "\n  " + context + "\n  ";
+      // A long line shows only the kSnippet characters around the column.
+      size_t caret = column > 1 ? static_cast<size_t>(column - 1) : 0;
+      size_t from = 0;
+      if (context.size() > kSnippet && caret > kSnippet / 2) {
+        from = std::min(caret - kSnippet / 2, context.size() - kSnippet);
+      }
+      caret -= from;
+      msg += "\n  " + context.substr(from, kSnippet) + "\n  ";
       // Tabs in the snippet keep their width-1 rendering here, so the
       // caret stays aligned with how the snippet itself is printed.
-      msg.append(column > 1 ? static_cast<size_t>(column - 1) : 0, ' ');
+      msg.append(caret, ' ');
       msg += '^';
     }
     return msg;
   }
+  static constexpr size_t kSnippet = 120;
 
   int line_;
-  int column_ = 0;
+  int column_;
 };
 
 // A semantic problem in an otherwise well-formed program (e.g. a table
