@@ -369,14 +369,16 @@ class PipelineValidator {
       std::unordered_map<ir::FieldId, ir::ExprRef> bind;
       std::unordered_set<ir::FieldId> non_effect;  // snapshots + hash dests
       auto subst_bind = [&](ir::ExprRef e) {
-        return ir::substitute(e, ctx_.arena,
-                              [&](ir::FieldId f, int) -> ir::ExprRef {
-                                auto it = bind.find(f);
-                                if (it != bind.end()) return it->second;
-                                auto s = seeds_.find(f);
-                                if (s != seeds_.end()) return s->second;
-                                return nullptr;
-                              });
+        return ir::substitute(
+            e, ctx_.arena,
+            [&](ir::FieldId f, int) -> ir::ExprRef {
+              auto it = bind.find(f);
+              if (it != bind.end()) return it->second;
+              auto s = seeds_.find(f);
+              if (s != seeds_.end()) return s->second;
+              return nullptr;
+            },
+            memo_);
       };
       cfg::NodeId cur = head;
       size_t steps = 0;
@@ -683,6 +685,7 @@ class PipelineValidator {
   std::vector<ir::ExprRef> base_;  // pre-condition assertions (walk vocab)
   std::unordered_map<ir::FieldId, ir::ExprRef> seeds_;  // f -> @f@inst
   sym::SymState state_;
+  ir::SubstMemo memo_;  // scratch of parse_branches()' rewriting
   std::unique_ptr<smt::Solver> walk_solver_;
   std::unique_ptr<smt::Solver> check_solver_;
   std::vector<bool> reaches_exit_;

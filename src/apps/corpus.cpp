@@ -466,10 +466,13 @@ void register_candidates(ir::Context& ctx, const AppBundle& app,
     changed = true;
   }
   if (op.value) {
+    ir::SubstMemo memo;
     ir::ExprRef nv = ir::substitute(
-        op.value, ctx.arena, [&](ir::FieldId f, int) -> ir::ExprRef {
+        op.value, ctx.arena,
+        [&](ir::FieldId f, int) -> ir::ExprRef {
           return f == old_fid ? skewed_var : nullptr;
-        });
+        },
+        memo);
     if (nv != op.value) {
       op.value = nv;
       changed = true;

@@ -14,25 +14,29 @@ namespace {
 ir::ExprRef expectation_to_path_terms(
     ir::ExprRef e, ir::Context& ctx,
     const std::unordered_map<ir::FieldId, ir::ExprRef>& final_values) {
-  return ir::substitute(e, ctx.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-    const std::string& name = ctx.fields.name(f);
-    auto value_of = [&](std::string_view raw_name) -> ir::ExprRef {
-      std::string raw(raw_name);
-      if (raw == "$port") raw = std::string(p4::kEgressSpec);
-      ir::FieldId rf = ctx.fields.intern(raw, w);
-      auto it = final_values.find(rf);
-      return it != final_values.end() ? it->second : ctx.var(rf);
-    };
-    if (util::starts_with(name, "in.")) {
-      std::string raw(name.substr(3));
-      if (raw == "$port") raw = std::string(p4::kIngressPort);
-      return ctx.field_var(raw, w);
-    }
-    if (util::starts_with(name, "out.")) {
-      return value_of(name.substr(4));
-    }
-    return nullptr;
-  });
+  ir::SubstMemo memo;
+  return ir::substitute(
+      e, ctx.arena,
+      [&](ir::FieldId f, int w) -> ir::ExprRef {
+        const std::string& name = ctx.fields.name(f);
+        auto value_of = [&](std::string_view raw_name) -> ir::ExprRef {
+          std::string raw(raw_name);
+          if (raw == "$port") raw = std::string(p4::kEgressSpec);
+          ir::FieldId rf = ctx.fields.intern(raw, w);
+          auto it = final_values.find(rf);
+          return it != final_values.end() ? it->second : ctx.var(rf);
+        };
+        if (util::starts_with(name, "in.")) {
+          std::string raw(name.substr(3));
+          if (raw == "$port") raw = std::string(p4::kIngressPort);
+          return ctx.field_var(raw, w);
+        }
+        if (util::starts_with(name, "out.")) {
+          return value_of(name.substr(4));
+        }
+        return nullptr;
+      },
+      memo);
 }
 
 }  // namespace

@@ -74,15 +74,18 @@ class Builder {
   // instance's copies. Content/metadata/register fields pass through.
   ir::ExprRef localize(ir::ExprRef e, const InstanceInfo& inst) {
     if (e == nullptr) return nullptr;
-    return ir::substitute(e, ctx_.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-      const std::string& name = ctx_.fields.name(f);
-      if (util::ends_with(name, ".$valid")) {
-        // name = "hdr.<h>.$valid"
-        std::string h(name.substr(4, name.size() - 4 - 7));
-        return ctx_.arena.field(valid_fid(inst, h), w);
-      }
-      return nullptr;
-    });
+    return ir::substitute(
+        e, ctx_.arena,
+        [&](ir::FieldId f, int w) -> ir::ExprRef {
+          const std::string& name = ctx_.fields.name(f);
+          if (util::ends_with(name, ".$valid")) {
+            // name = "hdr.<h>.$valid"
+            std::string h(name.substr(4, name.size() - 4 - 7));
+            return ctx_.arena.field(valid_fid(inst, h), w);
+          }
+          return nullptr;
+        },
+        memo_);
   }
 
   // Substitutes action parameters with the entry's constant arguments and
@@ -91,24 +94,28 @@ class Builder {
                         const ActionDef& action,
                         const std::vector<uint64_t>& args) {
     if (e == nullptr) return nullptr;
-    return ir::substitute(e, ctx_.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-      const std::string& name = ctx_.fields.name(f);
-      std::string prefix = "$arg." + action.name + ".";
-      if (util::starts_with(name, prefix)) {
-        std::string pname(name.substr(prefix.size()));
-        for (size_t i = 0; i < action.params.size(); ++i) {
-          if (action.params[i].name == pname) {
-            return ctx_.arena.constant(args.at(i), w);
+    const std::string prefix = "$arg." + action.name + ".";
+    return ir::substitute(
+        e, ctx_.arena,
+        [&](ir::FieldId f, int w) -> ir::ExprRef {
+          const std::string& name = ctx_.fields.name(f);
+          if (util::starts_with(name, prefix)) {
+            std::string_view pname =
+                std::string_view(name).substr(prefix.size());
+            for (size_t i = 0; i < action.params.size(); ++i) {
+              if (action.params[i].name == pname) {
+                return ctx_.arena.constant(args.at(i), w);
+              }
+            }
+            throw util::InternalError("bind_args: unknown parameter");
           }
-        }
-        throw util::InternalError("bind_args: unknown parameter");
-      }
-      if (util::ends_with(name, ".$valid")) {
-        std::string h(name.substr(4, name.size() - 4 - 7));
-        return ctx_.arena.field(valid_fid(inst, h), w);
-      }
-      return nullptr;
-    });
+          if (util::ends_with(name, ".$valid")) {
+            std::string h(name.substr(4, name.size() - 4 - 7));
+            return ctx_.arena.field(valid_fid(inst, h), w);
+          }
+          return nullptr;
+        },
+        memo_);
   }
 
   ir::ExprRef localized_var(std::string_view name, const InstanceInfo& inst) {
@@ -462,6 +469,7 @@ class Builder {
   ir::Context& ctx_;
   BuildOptions opts_;
   Cfg g_;
+  ir::SubstMemo memo_;  // scratch of localize() and bind_args()
   int inst_index_ = -1;
   int if_count_ = 0;
 };

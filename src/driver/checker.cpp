@@ -81,9 +81,12 @@ CheckResult check_case(ir::Context& ctx, const p4::Program& prog,
     }
     obs.out_port = out.port;
   }
+  // One evaluation state for every intent (none to build without intents).
+  const ir::ConcreteState state =
+      intents.empty() ? ir::ConcreteState{} : spec::observation_state(obs, ctx);
   for (const spec::Intent& intent : intents) {
-    if (!spec::applicable(intent, obs, ctx)) continue;
-    for (std::string& problem : spec::check(intent, obs, ctx)) {
+    if (!spec::applicable(intent, state)) continue;
+    for (std::string& problem : spec::check(intent, obs, state, ctx)) {
       r.pass = false;
       r.intent_problems.push_back("[" + intent.name + "] " +
                                   std::move(problem));

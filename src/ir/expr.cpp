@@ -61,7 +61,9 @@ const char* cmp_op_name(CmpOp op) noexcept {
   return "?";
 }
 
-size_t ExprArena::Hash::operator()(const Expr& e) const noexcept {
+namespace {
+
+size_t hash_node(const Expr& e) noexcept {
   size_t h = static_cast<size_t>(e.kind);
   auto mix = [&h](size_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -75,11 +77,21 @@ size_t ExprArena::Hash::operator()(const Expr& e) const noexcept {
   return h;
 }
 
-bool ExprArena::Eq::operator()(const Expr& a, const Expr& b) const noexcept {
+bool same_node(const Expr& a, const Expr& b) noexcept {
   return a.kind == b.kind && a.op == b.op && a.width == b.width &&
          a.value == b.value && a.field == b.field && a.lhs == b.lhs &&
          a.rhs == b.rhs;
 }
+
+// The hash bits a shard table stores. The shard is picked by the low bits
+// of the hash, so the table uses a multiplicative mix of all of them.
+uint32_t table_tag(size_t h) noexcept {
+  return static_cast<uint32_t>((h * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+constexpr size_t kInitialSlots = 64;
+
+}  // namespace
 
 ExprArena::ExprArena() {
   Expr t{};
@@ -92,15 +104,35 @@ ExprArena::ExprArena() {
   false_ = intern(f);
 }
 
-ExprRef ExprArena::intern(Expr e) {
-  Shard& s = shards_[Hash{}(e) % kShards];
+void ExprArena::grow(Shard& s) {
+  std::vector<Slot> old(std::max(kInitialSlots, s.table.size() * 2));
+  old.swap(s.table);
+  const size_t mask = s.table.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.index == 0) continue;
+    size_t i = slot.tag & mask;
+    while (s.table[i].index != 0) i = (i + 1) & mask;
+    s.table[i] = slot;
+  }
+}
+
+ExprRef ExprArena::intern(const Expr& e) {
+  const size_t h = hash_node(e);
+  const uint32_t tag = table_tag(h);
+  Shard& s = shards_[h % kShards];
   std::lock_guard<std::mutex> lk(s.mu);
-  auto it = s.interned.find(e);
-  if (it != s.interned.end()) return it->second;
+  if ((s.nodes.size() + 1) * 2 > s.table.size()) grow(s);
+  const size_t mask = s.table.size() - 1;
+  size_t i = tag & mask;
+  for (; s.table[i].index != 0; i = (i + 1) & mask) {
+    const Slot& slot = s.table[i];
+    if (slot.tag != tag) continue;
+    const Expr& node = s.nodes[slot.index - 1];
+    if (same_node(node, e)) return &node;
+  }
   s.nodes.push_back(e);
-  ExprRef ref = &s.nodes.back();
-  s.interned.emplace(e, ref);
-  return ref;
+  s.table[i] = {tag, static_cast<uint32_t>(s.nodes.size())};
+  return &s.nodes.back();
 }
 
 size_t ExprArena::node_count() const {
@@ -312,61 +344,6 @@ ExprRef ExprArena::masked_eq(ExprRef f, uint64_t mask, uint64_t value) {
   if (mask == 0) return bool_const(true);
   return cmp(CmpOp::kEq, arith(ArithOp::kAnd, f, constant(mask, w)),
              constant(value & mask, w));
-}
-
-namespace {
-
-ExprRef substitute_memo(ExprRef e, ExprArena& arena,
-                        const std::function<ExprRef(FieldId, int)>& lookup,
-                        std::unordered_map<ExprRef, ExprRef>& memo) {
-  auto it = memo.find(e);
-  if (it != memo.end()) return it->second;
-  ExprRef out = e;
-  switch (e->kind) {
-    case ExprKind::kConst:
-    case ExprKind::kBoolConst:
-      break;
-    case ExprKind::kField: {
-      ExprRef repl = lookup(e->field, e->width);
-      if (repl != nullptr) out = repl;
-      break;
-    }
-    case ExprKind::kArith: {
-      ExprRef a = substitute_memo(e->lhs, arena, lookup, memo);
-      ExprRef b = substitute_memo(e->rhs, arena, lookup, memo);
-      if (a != e->lhs || b != e->rhs) out = arena.arith(e->arith_op(), a, b);
-      break;
-    }
-    case ExprKind::kCmp: {
-      ExprRef a = substitute_memo(e->lhs, arena, lookup, memo);
-      ExprRef b = substitute_memo(e->rhs, arena, lookup, memo);
-      if (a != e->lhs || b != e->rhs) out = arena.cmp(e->cmp_op(), a, b);
-      break;
-    }
-    case ExprKind::kBool: {
-      ExprRef a = substitute_memo(e->lhs, arena, lookup, memo);
-      ExprRef b = substitute_memo(e->rhs, arena, lookup, memo);
-      if (a != e->lhs || b != e->rhs) {
-        out = e->bool_op() == BoolOp::kAnd ? arena.band(a, b) : arena.bor(a, b);
-      }
-      break;
-    }
-    case ExprKind::kNot: {
-      ExprRef a = substitute_memo(e->lhs, arena, lookup, memo);
-      if (a != e->lhs) out = arena.bnot(a);
-      break;
-    }
-  }
-  memo.emplace(e, out);
-  return out;
-}
-
-}  // namespace
-
-ExprRef substitute(ExprRef e, ExprArena& arena,
-                   const std::function<ExprRef(FieldId, int)>& lookup) {
-  std::unordered_map<ExprRef, ExprRef> memo;
-  return substitute_memo(e, arena, lookup, memo);
 }
 
 void collect_fields(ExprRef e, std::unordered_set<FieldId>& out) {

@@ -16,10 +16,10 @@
 // identity canonical regardless of which thread interns a node first.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -107,24 +107,30 @@ class ExprArena {
   size_t node_count() const;
 
  private:
-  ExprRef intern(Expr e);
-
-  struct Hash {
-    size_t operator()(const Expr& e) const noexcept;
-  };
-  struct Eq {
-    bool operator()(const Expr& a, const Expr& b) const noexcept;
-  };
+  ExprRef intern(const Expr& e);
 
   // One intern shard: a lock, the nodes it owns (deque: stable addresses),
-  // and the consing map. Shard choice is a pure function of the node's
+  // and the consing table. Shard choice is a pure function of the node's
   // structural hash, so identical nodes always meet in the same shard.
+  //
+  // The table is open addressing with linear probing over a power-of-two
+  // array of 8-byte slots, at most half full (every node of the shard has
+  // exactly one slot). A slot holds 32 bits of the node's mixed hash (its
+  // low bits are the home slot, so growing rehashes without touching a
+  // node) and the node's position in the deque. A probe compares the
+  // stored hash bits before the node, so a lookup hashes the node once and
+  // reads a node only on a likely match.
   static constexpr size_t kShards = 16;
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t index = 0;  // 1 + position in `nodes`; 0: empty
+  };
   struct Shard {
     mutable std::mutex mu;
     std::deque<Expr> nodes;
-    std::unordered_map<Expr, ExprRef, Hash, Eq> interned;
+    std::vector<Slot> table;
   };
+  static void grow(Shard& s);
   std::array<Shard, kShards> shards_;
   ExprRef true_ = nullptr;
   ExprRef false_ = nullptr;
@@ -208,10 +214,131 @@ inline std::optional<uint64_t> eval(ExprRef e, const ConcreteState& state) {
   });
 }
 
-// Substitutes fields via `lookup` (return nullptr to keep a field symbolic),
-// rebuilding — and thereby re-simplifying — the expression in `arena`.
-ExprRef substitute(ExprRef e, ExprArena& arena,
-                   const std::function<ExprRef(FieldId, int)>& lookup);
+// The memo of one substitute() call: inner node -> rewritten node, so a
+// subexpression shared inside the DAG is rewritten once. An
+// open-addressing table keyed by node pointer whose slots are
+// epoch-stamped like DenseState's cells: begin() forgets every entry with
+// one counter bump, so a memo reused across calls allocates only when it
+// grows. The caller owns it — one per exploration (SymState) or rewriting
+// pass — and it is not thread-safe.
+class SubstMemo {
+ public:
+  // Forgets every entry.
+  void begin() noexcept {
+    live_ = 0;
+    if (++epoch_ == 0) {
+      // Epoch wrap: refill once so no stale stamp aliases the fresh epoch.
+      for (Slot& s : slots_) s.stamp = 0;
+      epoch_ = 1;
+    }
+  }
+
+  // The rewritten node recorded for `e`, or nullptr.
+  ExprRef find(ExprRef e) const noexcept {
+    if (slots_.empty()) return nullptr;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = index(e) & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.stamp != epoch_) return nullptr;
+      if (s.key == e) return s.value;
+    }
+  }
+
+  // Records `e -> out`; `e` must not be recorded yet.
+  void insert(ExprRef e, ExprRef out) {
+    if ((live_ + 1) * 2 > slots_.size()) grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = index(e) & mask;
+    while (slots_[i].stamp == epoch_) i = (i + 1) & mask;
+    slots_[i] = {e, out, epoch_};
+    ++live_;
+  }
+
+ private:
+  struct Slot {
+    ExprRef key = nullptr;
+    ExprRef value = nullptr;
+    uint32_t stamp = 0;  // live iff == epoch_
+  };
+
+  static size_t index(ExprRef e) noexcept {
+    return static_cast<size_t>(
+        (reinterpret_cast<uintptr_t>(e) * 0x9e3779b97f4a7c15ull) >> 32);
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<size_t>(64, slots_.size() * 2));
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.stamp != epoch_) continue;
+      size_t i = index(s.key) & mask;
+      while (slots_[i].stamp == epoch_) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;  // power-of-two size, at most half live
+  uint32_t epoch_ = 1;       // fresh slots carry stamp 0: never live
+  size_t live_ = 0;
+};
+
+namespace detail {
+
+template <class Lookup>
+ExprRef substitute_node(ExprRef e, ExprArena& arena, const Lookup& lookup,
+                        SubstMemo& memo) {
+  switch (e->kind) {
+    case ExprKind::kConst:
+    case ExprKind::kBoolConst:
+      return e;
+    case ExprKind::kField: {
+      ExprRef repl = lookup(e->field, e->width);
+      return repl != nullptr ? repl : e;
+    }
+    default:
+      break;
+  }
+  if (ExprRef hit = memo.find(e)) return hit;
+  ExprRef out = e;
+  ExprRef a = substitute_node(e->lhs, arena, lookup, memo);
+  if (e->kind == ExprKind::kNot) {
+    if (a != e->lhs) out = arena.bnot(a);
+  } else {
+    ExprRef b = substitute_node(e->rhs, arena, lookup, memo);
+    if (a != e->lhs || b != e->rhs) {
+      switch (e->kind) {
+        case ExprKind::kArith:
+          out = arena.arith(e->arith_op(), a, b);
+          break;
+        case ExprKind::kCmp:
+          out = arena.cmp(e->cmp_op(), a, b);
+          break;
+        default:
+          out = e->bool_op() == BoolOp::kAnd ? arena.band(a, b)
+                                             : arena.bor(a, b);
+          break;
+      }
+    }
+  }
+  memo.insert(e, out);
+  return out;
+}
+
+}  // namespace detail
+
+// Substitutes fields via `lookup(field, width)` (return nullptr to keep a
+// field symbolic), rebuilding — and thereby re-simplifying — the
+// expression in `arena`. `memo` is scratch space the call starts by
+// clearing; reusing one across calls is what keeps substitution free of
+// allocation. Nodes are hash-consed, so the result is pointer-identical to
+// a rebuild without the memo.
+template <class Lookup>
+ExprRef substitute(ExprRef e, ExprArena& arena, const Lookup& lookup,
+                   SubstMemo& memo) {
+  memo.begin();
+  return detail::substitute_node(e, arena, lookup, memo);
+}
 
 // Adds every field referenced by `e` to `out`.
 void collect_fields(ExprRef e, std::unordered_set<FieldId>& out);

@@ -4,16 +4,32 @@
 
 namespace meissa::ir {
 
+namespace {
+
+FieldId checked(FieldId id, int have, std::string_view name, int width) {
+  if (have != width) {
+    throw util::ValidationError("field '" + std::string(name) +
+                                "' re-declared with different width");
+  }
+  return id;
+}
+
+}  // namespace
+
 FieldId FieldTable::intern(std::string_view name, int width) {
   util::check_width(width);
-  std::unique_lock<std::shared_mutex> lk(mu_);
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) {
-    if (entries_[it->second].width != width) {
-      throw util::ValidationError("field '" + std::string(name) +
-                                  "' re-declared with different width");
+  {
+    std::shared_lock<std::shared_mutex> lk(mu_);
+    auto it = by_name_.find(name);
+    if (it != by_name_.end()) {
+      return checked(it->second, entries_[it->second].width, name, width);
     }
-    return it->second;
+  }
+  std::unique_lock<std::shared_mutex> lk(mu_);
+  // Another thread may have inserted the name since the shared lock fell.
+  auto it = by_name_.find(name);
+  if (it != by_name_.end()) {
+    return checked(it->second, entries_[it->second].width, name, width);
   }
   FieldId id = static_cast<FieldId>(entries_.size());
   entries_.push_back({std::string(name), width});
@@ -23,7 +39,7 @@ FieldId FieldTable::intern(std::string_view name, int width) {
 
 FieldId FieldTable::find(std::string_view name) const {
   std::shared_lock<std::shared_mutex> lk(mu_);
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidField : it->second;
 }
 

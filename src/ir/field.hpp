@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -25,11 +26,13 @@ inline constexpr FieldId kInvalidField = ~FieldId{0};
 // Field names follow the dotted convention of the paper: "hdr.ipv4.dst_addr",
 // "pkt.ig_port", "hdr.ipv4.$valid@ingress0".
 //
-// Thread safety: concurrent intern/lookup is safe (reader-writer lock;
-// entries live in a deque so references returned by name() stay valid
-// across later interns). Ids are dense and assigned in intern order — with
-// concurrent interning the *numbering* is scheduling-dependent, so nothing
-// user-visible may depend on numeric id order (sort by name instead).
+// Thread safety: concurrent intern/lookup is safe (reader-writer lock; a
+// name already interned is found under the shared lock, and only an insert
+// takes the exclusive one; entries live in a deque so references returned
+// by name() stay valid across later interns). Ids are dense and assigned
+// in intern order — with concurrent interning the *numbering* is
+// scheduling-dependent, so nothing user-visible may depend on numeric id
+// order (sort by name instead).
 class FieldTable {
  public:
   // Interns `name` with the given bit width. Re-interning an existing name
@@ -60,9 +63,16 @@ class FieldTable {
     std::string name;
     int width;
   };
+  // Transparent hashing: lookups by string_view build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
   mutable std::shared_mutex mu_;
   std::deque<Entry> entries_;  // stable addresses for name() references
-  std::unordered_map<std::string, FieldId> by_name_;
+  std::unordered_map<std::string, FieldId, NameHash, std::equal_to<>> by_name_;
 };
 
 }  // namespace meissa::ir

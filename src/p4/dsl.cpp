@@ -384,7 +384,8 @@ class M4Parser final : public ExprParser {
         inst.pipeline = take_ident();
         expect_punct("@");
         expect_ident("switch");
-        inst.switch_id = expect_int("switch id");
+        inst.switch_id =
+            static_cast<int>(expect_number(0, kMaxSwitchId, "switch id"));
         expect_punct(";");
         topology_.instances.push_back(std::move(inst));
       } else if (kw == "entry") {

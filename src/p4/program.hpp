@@ -223,10 +223,14 @@ struct Program {
 
 // --------------------------------------------------------------- Topology
 
+// Switch ids are numbered from 0; validation bounds them so a switch count
+// derived from them (Topology::num_switches) stays small and exact.
+inline constexpr int kMaxSwitchId = 65535;
+
 struct PipeInstance {
   std::string name;      // unique instance name, e.g. "sw0.ig0"
   std::string pipeline;  // PipelineDef name
-  int switch_id = 0;
+  int switch_id = 0;     // in [0, kMaxSwitchId]
 };
 
 // Directed, guarded edge between pipeline instances. The guard is evaluated

@@ -213,7 +213,10 @@ void validate(const DataPlane& dp, const ir::Context& ctx) {
     require(dp.program.find_pipeline(i.pipeline) != nullptr,
             "instance '" + i.name + "' uses unknown pipeline '" + i.pipeline +
                 "'");
-    require(i.switch_id >= 0, "negative switch id");
+    require(i.switch_id >= 0 && i.switch_id <= kMaxSwitchId,
+            "instance '" + i.name + "' switch id " +
+                std::to_string(i.switch_id) + " out of range [0, " +
+                std::to_string(kMaxSwitchId) + "]");
   }
   for (const TopoEdge& e : topo.edges) {
     require(topo.find_instance(e.from) != nullptr,

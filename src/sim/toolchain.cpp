@@ -61,13 +61,16 @@ class Compiler {
       ir::FieldId f = fid(fault_.field);
       int w = ctx_.fields.width(f);
       if (w > 16) {
-        e = ir::substitute(e, ctx_.arena, [&](ir::FieldId id, int width) -> ir::ExprRef {
-          if (id != f) return nullptr;
-          // The comparison only sees the low 16 bits of the container.
-          return ctx_.arena.arith(ir::ArithOp::kAnd,
-                                  ctx_.arena.field(id, width),
-                                  ctx_.arena.constant(0xffff, width));
-        });
+        e = ir::substitute(
+            e, ctx_.arena,
+            [&](ir::FieldId id, int width) -> ir::ExprRef {
+              if (id != f) return nullptr;
+              // The comparison only sees the low 16 bits of the container.
+              return ctx_.arena.arith(ir::ArithOp::kAnd,
+                                      ctx_.arena.field(id, width),
+                                      ctx_.arena.constant(0xffff, width));
+            },
+            memo_);
       }
     }
     return e;
@@ -172,18 +175,21 @@ class Compiler {
 
   ir::ExprRef bind_args(ir::ExprRef e, const p4::ActionDef& action,
                         const std::vector<uint64_t>& args) {
-    return ir::substitute(e, ctx_.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-      const std::string& name = ctx_.fields.name(f);
-      std::string prefix = "$arg." + action.name + ".";
-      if (!util::starts_with(name, prefix)) return nullptr;
-      std::string pname(name.substr(prefix.size()));
-      for (size_t i = 0; i < action.params.size(); ++i) {
-        if (action.params[i].name == pname) {
-          return ctx_.arena.constant(args.at(i), w);
-        }
-      }
-      throw util::InternalError("toolchain: unknown action parameter");
-    });
+    const std::string prefix = "$arg." + action.name + ".";
+    return ir::substitute(
+        e, ctx_.arena,
+        [&](ir::FieldId f, int w) -> ir::ExprRef {
+          const std::string& name = ctx_.fields.name(f);
+          if (!util::starts_with(name, prefix)) return nullptr;
+          std::string_view pname = std::string_view(name).substr(prefix.size());
+          for (size_t i = 0; i < action.params.size(); ++i) {
+            if (action.params[i].name == pname) {
+              return ctx_.arena.constant(args.at(i), w);
+            }
+          }
+          throw util::InternalError("toolchain: unknown action parameter");
+        },
+        memo_);
   }
 
   DevTable compile_table(const p4::TableDef& t, const std::string& instance) {
@@ -349,6 +355,7 @@ class Compiler {
   ir::Context& ctx_;
   FaultSpec fault_;
   DeviceProgram out_;
+  ir::SubstMemo memo_;  // scratch of mutate_cond() and bind_args()
 };
 
 }  // namespace

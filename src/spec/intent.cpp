@@ -106,21 +106,21 @@ IntentBuilder& IntentBuilder::expect_checksum(std::string dest,
 }
 
 ir::ExprRef assume_to_precondition(ir::ExprRef assume, ir::Context& ctx) {
-  return ir::substitute(assume, ctx.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-    const std::string& name = ctx.fields.name(f);
-    if (util::starts_with(name, "in.")) {
-      std::string raw(name.substr(3));
-      if (raw == "$port") raw = std::string(p4::kIngressPort);
-      return ctx.field_var(raw, w);
-    }
-    return nullptr;
-  });
+  ir::SubstMemo memo;
+  return ir::substitute(
+      assume, ctx.arena,
+      [&](ir::FieldId f, int w) -> ir::ExprRef {
+        const std::string& name = ctx.fields.name(f);
+        if (util::starts_with(name, "in.")) {
+          std::string raw(name.substr(3));
+          if (raw == "$port") raw = std::string(p4::kIngressPort);
+          return ctx.field_var(raw, w);
+        }
+        return nullptr;
+      },
+      memo);
 }
 
-namespace {
-
-// Builds the concrete evaluation state for intent expressions: in.*/out.*
-// fields from the observed packets.
 ir::ConcreteState observation_state(const Observation& obs, ir::Context& ctx) {
   ir::ConcreteState s;
   auto load = [&](const packet::Packet& pkt, const std::string& prefix) {
@@ -144,13 +144,9 @@ ir::ConcreteState observation_state(const Observation& obs, ir::Context& ctx) {
   return s;
 }
 
-}  // namespace
-
-bool applicable(const Intent& intent, const Observation& obs,
-                ir::Context& ctx) {
-  ir::ConcreteState s = observation_state(obs, ctx);
+bool applicable(const Intent& intent, const ir::ConcreteState& state) {
   for (ir::ExprRef a : intent.assumes) {
-    auto v = ir::eval(a, s);
+    auto v = ir::eval(a, state);
     // An assume over a field absent from the input (e.g. a header the
     // packet does not carry) does not apply.
     if (!v || *v == 0) return false;
@@ -159,9 +155,8 @@ bool applicable(const Intent& intent, const Observation& obs,
 }
 
 std::vector<std::string> check(const Intent& intent, const Observation& obs,
-                               ir::Context& ctx) {
+                               const ir::ConcreteState& s, ir::Context& ctx) {
   std::vector<std::string> failures;
-  ir::ConcreteState s = observation_state(obs, ctx);
   for (const Expectation& e : intent.expects) {
     switch (e.kind) {
       case Expectation::Kind::kDelivered:

@@ -94,12 +94,19 @@ struct Observation {
   uint64_t out_port = 0;
 };
 
-// Is the intent applicable to this input? (all assumes hold)
-bool applicable(const Intent& intent, const Observation& obs,
-                ir::Context& ctx);
+// The concrete state intent expressions evaluate over: the in.*/out.*
+// fields of the observed packets (interned into `ctx`). Built once per
+// observation and shared by every intent checked against it.
+ir::ConcreteState observation_state(const Observation& obs, ir::Context& ctx);
+
+// Is the intent applicable to the input? (all assumes hold in `state`,
+// the observation's state)
+bool applicable(const Intent& intent, const ir::ConcreteState& state);
 
 // Checks every expectation; returns failure descriptions (empty = pass).
+// `state` is observation_state(obs, ctx).
 std::vector<std::string> check(const Intent& intent, const Observation& obs,
+                               const ir::ConcreteState& state,
                                ir::Context& ctx);
 
 }  // namespace meissa::spec

@@ -207,12 +207,15 @@ class PathEncoder {
       if (!seeds_.count(f)) changed_unseeded.insert(f);
     }
     auto at_entry = [&](ir::ExprRef e) {
-      return ir::substitute(e, ctx_.arena, [&](ir::FieldId f, int w) -> ir::ExprRef {
-        if (changed_unseeded.count(f)) {
-          return ctx_.arena.field(snapshot_fid(f), w);
-        }
-        return nullptr;
-      });
+      return ir::substitute(
+          e, ctx_.arena,
+          [&](ir::FieldId f, int w) -> ir::ExprRef {
+            if (changed_unseeded.count(f)) {
+              return ctx_.arena.field(snapshot_fid(f), w);
+            }
+            return nullptr;
+          },
+          memo_);
     };
 
     std::vector<ir::ExprRef> conds;
@@ -289,6 +292,7 @@ class PathEncoder {
   std::unordered_map<ir::FieldId, ir::ExprRef> seeds_;  // f -> @f (seeded)
   std::unordered_map<ir::FieldId, ir::FieldId> snapshot_for_;  // f -> @f
   std::unordered_map<ir::FieldId, ir::FieldId> snapshot_of_;   // @f -> f
+  ir::SubstMemo memo_;
 };
 
 }  // namespace

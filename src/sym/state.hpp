@@ -1,5 +1,7 @@
 // Symbolic state for DFS path exploration: the paper's value stack V and
-// condition stack C (§3.2, Fig. 6), with O(1) undo for backtracking.
+// condition stack C (§3.2, Fig. 6), with O(1) undo for backtracking. V is
+// a dense FieldId-indexed store and ⟦V⟧e reuses one substitution memo, so
+// executing a node allocates nothing once the buffers have grown.
 #pragma once
 
 #include <deque>
@@ -52,22 +54,22 @@ class SymState {
   // Current symbolic value of a field: its assigned expression, or the
   // field variable itself when never assigned (the input symbol).
   ir::ExprRef value_of(ir::FieldId f) {
-    auto it = values_.find(f);
-    if (it != values_.end()) return it->second;
-    return ctx_.var(f);
+    ir::ExprRef v = assigned(f);
+    return v != nullptr ? v : ctx_.var(f);
   }
 
   // ⟦V⟧e — substitutes current values into `e` (re-simplifying).
   ir::ExprRef subst(ir::ExprRef e) {
-    return ir::substitute(e, ctx_.arena, [this](ir::FieldId f, int) {
-      auto it = values_.find(f);
-      return it != values_.end() ? it->second : nullptr;
-    });
+    return ir::substitute(
+        e, ctx_.arena, [this](ir::FieldId f, int) { return assigned(f); },
+        memo_);
   }
 
   void assign(ir::FieldId f, ir::ExprRef value) {
-    auto it = values_.find(f);
-    undo_.push_back({f, it != values_.end() ? it->second : nullptr});
+    // Grown on demand: the store spans the largest field ever assigned,
+    // not the whole field table.
+    if (f >= values_.size()) values_.resize(static_cast<size_t>(f) + 1);
+    undo_.push_back({f, values_[f]});
     values_[f] = value;
   }
 
@@ -78,8 +80,13 @@ class SymState {
   const std::vector<HashObligation>& obligations() const {
     return obligations_;
   }
-  const std::unordered_map<ir::FieldId, ir::ExprRef>& values() const {
-    return values_;
+  // Every assigned field with its current value. The fields are exactly
+  // those of the undo log, so building the map costs the path's
+  // assignments, not the field table.
+  std::unordered_map<ir::FieldId, ir::ExprRef> values() const {
+    std::unordered_map<ir::FieldId, ir::ExprRef> out;
+    for (const auto& [f, prev] : undo_) out.try_emplace(f, values_[f]);
+    return out;
   }
 
   struct Mark {
@@ -91,12 +98,7 @@ class SymState {
 
   void rollback(const Mark& m) {
     while (undo_.size() > m.undo) {
-      auto& [f, prev] = undo_.back();
-      if (prev == nullptr) {
-        values_.erase(f);
-      } else {
-        values_[f] = prev;
-      }
+      values_[undo_.back().first] = undo_.back().second;
       undo_.pop_back();
     }
     conds_.resize(m.conds);
@@ -136,12 +138,18 @@ class SymState {
   ir::Context& ctx() { return ctx_; }
 
  private:
+  ir::ExprRef assigned(ir::FieldId f) const {
+    return f < values_.size() ? values_[f] : nullptr;
+  }
+
   ir::Context& ctx_;
   std::string fresh_ns_;
   uint64_t fresh_local_ = 0;
   std::deque<std::pair<std::string, int>> pinned_;
-  std::unordered_map<ir::FieldId, ir::ExprRef> values_;
-  std::vector<std::pair<ir::FieldId, ir::ExprRef>> undo_;
+  // V as a dense FieldId -> value store; nullptr means never assigned.
+  std::vector<ir::ExprRef> values_;
+  std::vector<std::pair<ir::FieldId, ir::ExprRef>> undo_;  // (field, prev)
+  ir::SubstMemo memo_;  // scratch of subst(), reused across calls
   std::vector<ir::ExprRef> conds_;
   std::vector<HashObligation> obligations_;
 };

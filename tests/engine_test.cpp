@@ -2,8 +2,12 @@
 // discovery, early termination, template generation, model soundness.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
+#include "sym/state.hpp"
 #include "sym/template.hpp"
 #include "testlib.hpp"
+#include "util/rng.hpp"
 
 namespace meissa::sym {
 namespace {
@@ -249,6 +253,59 @@ TEST(EngineHash, SymbolicKeysLeaveObligation) {
   std::unordered_set<ir::FieldId> fs;
   ir::collect_fields(rs[0].conds[0], fs);
   EXPECT_TRUE(fs.count(rs[0].obligations[0].placeholder));
+}
+
+TEST(SymStateTest, PropertyAgreesWithAMapModelAcrossRollbacks) {
+  // Random assign / mark / rollback sequences against the obvious model: a
+  // map from field to value plus a stack of map snapshots. Fields are
+  // interned as the run goes, so later assignments land past the store's
+  // current size and grow it.
+  ir::Context ctx;
+  util::Rng rng(20);
+  SymState st(ctx);
+  std::vector<ir::FieldId> fs;
+  using Model = std::unordered_map<ir::FieldId, ir::ExprRef>;
+  Model model;
+  std::vector<std::pair<SymState::Mark, Model>> marks;
+  for (int step = 0; step < 4000; ++step) {
+    if (fs.size() < 40 && rng.chance(1, 20)) {
+      fs.push_back(ctx.fields.intern("f" + std::to_string(fs.size()), 8));
+    }
+    const uint64_t action = rng.below(10);
+    if (fs.empty() || action < 5) {
+      if (fs.empty()) continue;
+      const ir::FieldId f = fs[rng.below(fs.size())];
+      ir::ExprRef v = rng.chance(1, 2)
+                          ? ctx.arena.constant(rng.bits(8), 8)
+                          : ctx.arena.arith(ir::ArithOp::kAdd,
+                                            st.value_of(fs[rng.below(fs.size())]),
+                                            ctx.arena.constant(1, 8));
+      st.assign(f, v);
+      model[f] = v;
+    } else if (action < 7) {
+      marks.emplace_back(st.mark(), model);
+    } else if (!marks.empty()) {
+      const size_t keep = rng.below(marks.size());
+      st.rollback(marks[keep].first);
+      model = marks[keep].second;
+      marks.resize(keep);
+    }
+    for (ir::FieldId f : fs) {
+      auto it = model.find(f);
+      ASSERT_EQ(st.value_of(f), it != model.end() ? it->second : ctx.var(f))
+          << "step " << step;
+    }
+    ASSERT_EQ(st.values(), model) << "step " << step;
+    if (fs.size() >= 2) {
+      // ⟦V⟧ of a two-field sum is the sum of the two current values.
+      ir::FieldId a = fs[rng.below(fs.size())];
+      ir::FieldId b = fs[rng.below(fs.size())];
+      ASSERT_EQ(st.subst(ctx.arena.arith(ir::ArithOp::kXor, ctx.var(a),
+                                         ctx.var(b))),
+                ctx.arena.arith(ir::ArithOp::kXor, st.value_of(a),
+                                st.value_of(b)));
+    }
+  }
 }
 
 }  // namespace

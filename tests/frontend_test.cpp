@@ -102,6 +102,26 @@ TEST(FrontEnd, WidthsAndCountsAreChecked) {
             2, 21, "priority 2147483648 out of range");
 }
 
+TEST(FrontEnd, SwitchIdsAreBounded) {
+  // INT_MAX used to parse and validate, and Topology::num_switches then
+  // overflowed computing max_id + 1.
+  expect_at(m4_error("program x;\n"
+                     "topology { instance i = p @ switch 2147483647; }\n"),
+            2, 36, "switch id 2147483647 out of range [0, 65535]");
+  expect_at(m4_error("program x;\n"
+                     "topology { instance i = p @ switch 65536; }\n"),
+            2, 36, "switch id 65536 out of range [0, 65535]");
+  // The largest id is accepted and counted exactly.
+  std::string top = kTinyM4;
+  top.replace(top.find("switch 0"), 8, "switch 65535");
+  ir::Context ctx;
+  ParsedUnit unit = parse_m4(top, ctx);
+  EXPECT_EQ(unit.dp.topology.num_switches(), 65536);
+  // A topology built in code meets the same bound in validation.
+  unit.dp.topology.instances[0].switch_id = 2147483647;
+  EXPECT_THROW(validate(unit.dp, ctx), util::ValidationError);
+}
+
 TEST(FrontEnd, NestingIsBounded) {
   const std::string decl = "program x;\nheader h { a:8; }\naction f() { ";
   const int cap = kMaxNesting;

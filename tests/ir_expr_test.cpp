@@ -1,6 +1,12 @@
-// Unit tests for the expression arena: hash-consing, folding, evaluation,
-// and substitution; and for the dense concrete state.
+// Unit tests for the expression arena: hash-consing (also under concurrent
+// interning), folding, evaluation, and memoized substitution; and for the
+// dense concrete state.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "ir/dense.hpp"
 #include "ir/stmt.hpp"
@@ -98,17 +104,174 @@ TEST_F(ExprTest, SubstituteRewritesAndSimplifies) {
   FieldId fx = ctx.fields.require("x");
   // x + y with x := 7 becomes 7 + y
   ExprRef e = ctx.arena.arith(ArithOp::kAdd, x, y);
-  ExprRef r = substitute(e, ctx.arena, [&](FieldId f, int w) -> ExprRef {
+  auto x_is_7 = [&](FieldId f, int w) -> ExprRef {
     return f == fx ? ctx.arena.constant(7, w) : nullptr;
-  });
+  };
+  SubstMemo memo;
+  ExprRef r = substitute(e, ctx.arena, x_is_7, memo);
   // x == x - substitution makes the comparison decidable
   ExprRef p = ctx.arena.cmp(CmpOp::kEq, e, ctx.arena.arith(ArithOp::kAdd, y, ctx.arena.constant(7, 8)));
-  ExprRef pr = substitute(p, ctx.arena, [&](FieldId f, int w) -> ExprRef {
-    return f == fx ? ctx.arena.constant(7, w) : nullptr;
-  });
+  ExprRef pr = substitute(p, ctx.arena, x_is_7, memo);
   EXPECT_TRUE(pr->is_true());
   ConcreteState s{{ctx.fields.require("y"), 9}};
   EXPECT_EQ(eval(r, s), std::optional<uint64_t>(16));
+}
+
+// The memo-free rebuild substitute() must agree with, node for node.
+ExprRef naive_substitute(ExprRef e, ExprArena& arena,
+                         const std::unordered_map<FieldId, ExprRef>& bind) {
+  switch (e->kind) {
+    case ExprKind::kConst:
+    case ExprKind::kBoolConst:
+      return e;
+    case ExprKind::kField: {
+      auto it = bind.find(e->field);
+      return it != bind.end() ? it->second : e;
+    }
+    case ExprKind::kNot: {
+      ExprRef a = naive_substitute(e->lhs, arena, bind);
+      return a != e->lhs ? arena.bnot(a) : e;
+    }
+    default:
+      break;
+  }
+  ExprRef a = naive_substitute(e->lhs, arena, bind);
+  ExprRef b = naive_substitute(e->rhs, arena, bind);
+  if (a == e->lhs && b == e->rhs) return e;
+  switch (e->kind) {
+    case ExprKind::kArith: return arena.arith(e->arith_op(), a, b);
+    case ExprKind::kCmp: return arena.cmp(e->cmp_op(), a, b);
+    default:
+      return e->bool_op() == BoolOp::kAnd ? arena.band(a, b)
+                                          : arena.bor(a, b);
+  }
+}
+
+TEST_F(ExprTest, PropertyMemoizedSubstituteMatchesNaiveRebuild) {
+  // One memo across every call: an entry left from an earlier call (an
+  // earlier epoch) must never answer for a later one, where the same node
+  // rewrites differently.
+  util::Rng rng(20);
+  const FieldId fs[] = {ctx.fields.intern("a", 8), ctx.fields.intern("b", 8),
+                        ctx.fields.intern("c", 8), ctx.fields.intern("d", 8)};
+  const ArithOp aops[] = {ArithOp::kAdd, ArithOp::kSub, ArithOp::kAnd,
+                          ArithOp::kOr, ArithOp::kXor, ArithOp::kMul};
+  const CmpOp cops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kGe};
+  SubstMemo memo;
+  for (int i = 0; i < 1000; ++i) {
+    // A random DAG: every new node picks its operands among earlier ones,
+    // so subexpressions are shared.
+    std::vector<ExprRef> arith = {ctx.var(fs[0]), ctx.var(fs[1]),
+                                  ctx.var(fs[2]), ctx.var(fs[3]),
+                                  ctx.arena.constant(rng.bits(8), 8)};
+    for (int k = 0; k < 8; ++k) {
+      arith.push_back(ctx.arena.arith(aops[rng.below(6)],
+                                      arith[rng.below(arith.size())],
+                                      arith[rng.below(arith.size())]));
+    }
+    std::vector<ExprRef> preds;
+    for (int k = 0; k < 4; ++k) {
+      preds.push_back(ctx.arena.cmp(cops[rng.below(4)],
+                                    arith[rng.below(arith.size())],
+                                    arith[rng.below(arith.size())]));
+    }
+    for (int k = 0; k < 4; ++k) {
+      ExprRef p = preds[rng.below(preds.size())];
+      ExprRef q = preds[rng.below(preds.size())];
+      preds.push_back(rng.chance(1, 3)   ? ctx.arena.bnot(p)
+                      : rng.chance(1, 2) ? ctx.arena.band(p, q)
+                                         : ctx.arena.bor(p, q));
+    }
+    // A random lookup: each field kept, pinned to a constant, or renamed.
+    std::unordered_map<FieldId, ExprRef> bind;
+    for (FieldId f : fs) {
+      switch (rng.below(3)) {
+        case 0: break;
+        case 1: bind[f] = ctx.arena.constant(rng.bits(8), 8); break;
+        default: bind[f] = ctx.var(fs[rng.below(4)]); break;
+      }
+    }
+    auto lookup = [&](FieldId f, int) -> ExprRef {
+      auto it = bind.find(f);
+      return it != bind.end() ? it->second : nullptr;
+    };
+    ExprRef e = rng.chance(1, 2) ? preds.back() : arith.back();
+    ASSERT_EQ(substitute(e, ctx.arena, lookup, memo),
+              naive_substitute(e, ctx.arena, bind))
+        << "iteration " << i << ": " << to_string(e, ctx.fields);
+  }
+}
+
+TEST_F(ExprTest, SubstituteRewritesASharedNodeOnce) {
+  // x_{i+1} = x_i + x_i: 64 levels make 2^64 root-to-leaf paths, so only a
+  // memoized walk finishes. Each inner node is rewritten once; the field
+  // leaf is looked up once per occurrence under x_1 (fields skip the memo).
+  // A walk without the memo is cut at the 65th lookup instead of running
+  // for ever.
+  ExprRef x = ctx.field_var("x", 16);
+  const FieldId fx = ctx.fields.require("x");
+  ExprRef y = ctx.field_var("y", 16);
+  ExprRef e = x;
+  for (int i = 0; i < 64; ++i) e = ctx.arena.arith(ArithOp::kAdd, e, e);
+  int lookups = 0;
+  SubstMemo memo;
+  const size_t before = ctx.arena.node_count();
+  ExprRef r = nullptr;
+  ASSERT_NO_THROW(r = substitute(
+                      e, ctx.arena,
+                      [&](FieldId f, int) -> ExprRef {
+                        if (++lookups > 64) {
+                          throw std::runtime_error("substitution walks paths");
+                        }
+                        return f == fx ? y : nullptr;
+                      },
+                      memo));
+  EXPECT_EQ(lookups, 2);
+  EXPECT_EQ(ctx.arena.node_count() - before, 64u);  // y_1 .. y_64
+  ExprRef want = y;
+  for (int i = 0; i < 64; ++i) want = ctx.arena.arith(ArithOp::kAdd, want, want);
+  EXPECT_EQ(r, want);
+}
+
+TEST_F(ExprTest, ConcurrentInterningGivesOnePointerPerNode) {
+  // Four threads intern overlapping sets (thread t builds nodes
+  // [t*k, t*k + 2k)), so every shard's table grows several times while
+  // other threads probe it. Equal nodes must meet in one pointer, and the
+  // node count must be exact.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 6000;
+  constexpr uint64_t kStride = kPerThread / 2;
+  ExprRef x = ctx.field_var("x", 32);
+  const size_t before = ctx.arena.node_count();
+  std::vector<std::vector<ExprRef>> got(kThreads);
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (uint64_t k = 0; k < kPerThread; ++k) {
+        const uint64_t v = t * kStride + k + 1;  // 0 would fold x + 0 to x
+        got[t].push_back(
+            ctx.arena.arith(ArithOp::kAdd, x, ctx.arena.constant(v, 32)));
+      }
+    });
+  }
+  for (std::thread& th : ts) th.join();
+  for (int t = 1; t < kThreads; ++t) {
+    for (uint64_t k = 0; k < kStride; ++k) {
+      // Value t*kStride + k + 1: thread t's k-th, thread t-1's (k+kStride)-th.
+      ASSERT_EQ(got[t][k], got[t - 1][k + kStride]);
+    }
+  }
+  std::unordered_set<ExprRef> distinct;
+  for (const auto& g : got) distinct.insert(g.begin(), g.end());
+  const uint64_t values = (kThreads - 1) * kStride + kPerThread;
+  EXPECT_EQ(distinct.size(), values);
+  // Each distinct value: one constant node and one sum node.
+  EXPECT_EQ(ctx.arena.node_count() - before, 2 * values);
+  for (ExprRef e : distinct) {
+    EXPECT_EQ(ctx.arena.arith(ArithOp::kAdd, x,
+                              ctx.arena.constant(e->rhs->value, 32)),
+              e);
+  }
 }
 
 TEST_F(ExprTest, MaskedEqBuildsTernaryShape) {

@@ -30,6 +30,16 @@ class SpecTest : public ::testing::Test {
     obs.out_port = 7;
   }
 
+  // Each call builds the observation's evaluation state, as the checker
+  // does once per case.
+  bool applies(const Intent& intent, const Observation& o) {
+    return applicable(intent, observation_state(o, ctx));
+  }
+  std::vector<std::string> problems(const Intent& intent,
+                                    const Observation& o) {
+    return check(intent, o, observation_state(o, ctx), ctx);
+  }
+
   ir::Context ctx;
   p4::DataPlane dp;
   Observation obs;
@@ -40,17 +50,17 @@ TEST_F(SpecTest, ApplicabilityFollowsAssumes) {
   match.assume(ctx.arena.cmp(ir::CmpOp::kEq, match.in("hdr.ipv4.dst"),
                              match.num(0x0a000001, 32)));
   Intent match_intent = match.build();  // build() moves the intent out
-  EXPECT_TRUE(applicable(match_intent, obs, ctx));
+  EXPECT_TRUE(applies(match_intent, obs));
 
   IntentBuilder mismatch(ctx, dp.program, "n");
   mismatch.assume(ctx.arena.cmp(ir::CmpOp::kEq, mismatch.in("hdr.ipv4.dst"),
                                 mismatch.num(0x0a000002, 32)));
-  EXPECT_FALSE(applicable(mismatch.build(), obs, ctx));
+  EXPECT_FALSE(applies(mismatch.build(), obs));
 
   // An assume over a header absent from the input is not applicable.
   Observation eth_only = obs;
   eth_only.input.headers.resize(1);
-  EXPECT_FALSE(applicable(match_intent, eth_only, ctx));
+  EXPECT_FALSE(applies(match_intent, eth_only));
 }
 
 TEST_F(SpecTest, FieldExpectationsRelateInputAndOutput) {
@@ -59,12 +69,12 @@ TEST_F(SpecTest, FieldExpectationsRelateInputAndOutput) {
                           ib.num(0xaa01, 48)));
   ib.expect(ctx.arena.cmp(ir::CmpOp::kEq, ib.out("hdr.ipv4.dst"),
                           ib.in("hdr.ipv4.dst")));
-  EXPECT_TRUE(check(ib.build(), obs, ctx).empty());
+  EXPECT_TRUE(problems(ib.build(), obs).empty());
 
   IntentBuilder bad(ctx, dp.program, "bad");
   bad.expect(ctx.arena.cmp(ir::CmpOp::kEq, bad.out("hdr.eth.dst"),
                            bad.num(0xbb02, 48)));
-  auto failures = check(bad.build(), obs, ctx);
+  auto failures = problems(bad.build(), obs);
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_NE(failures[0].find("violated"), std::string::npos);
 }
@@ -73,42 +83,42 @@ TEST_F(SpecTest, PortExpectations) {
   IntentBuilder ib(ctx, dp.program, "port");
   ib.expect(ctx.arena.cmp(ir::CmpOp::kEq, ib.out_port(), ib.num(7, 9)));
   ib.expect(ctx.arena.cmp(ir::CmpOp::kEq, ib.in_port(), ib.num(3, 9)));
-  EXPECT_TRUE(check(ib.build(), obs, ctx).empty());
+  EXPECT_TRUE(problems(ib.build(), obs).empty());
 }
 
 TEST_F(SpecTest, DeliveryExpectations) {
   IntentBuilder want_drop(ctx, dp.program, "d");
   want_drop.expect_dropped();
-  EXPECT_FALSE(check(want_drop.build(), obs, ctx).empty());
+  EXPECT_FALSE(problems(want_drop.build(), obs).empty());
 
   Observation dropped = obs;
   dropped.delivered = false;
-  EXPECT_TRUE(check(want_drop.build(), dropped, ctx).empty());
+  EXPECT_TRUE(problems(want_drop.build(), dropped).empty());
 
   IntentBuilder want_del(ctx, dp.program, "e");
   want_del.expect_delivered();
-  EXPECT_FALSE(check(want_del.build(), dropped, ctx).empty());
+  EXPECT_FALSE(problems(want_del.build(), dropped).empty());
   // Output-relating expectations are delivery-gated: no double report.
   IntentBuilder gated(ctx, dp.program, "g");
   gated.expect(ctx.arena.cmp(ir::CmpOp::kEq, gated.out("hdr.eth.dst"),
                              gated.num(1, 48)));
-  EXPECT_TRUE(check(gated.build(), dropped, ctx).empty());
+  EXPECT_TRUE(problems(gated.build(), dropped).empty());
 }
 
 TEST_F(SpecTest, HeaderPresenceExpectations) {
   IntentBuilder ib(ctx, dp.program, "h");
   ib.expect_header("ipv4", true);
-  EXPECT_TRUE(check(ib.build(), obs, ctx).empty());
+  EXPECT_TRUE(problems(ib.build(), obs).empty());
   IntentBuilder absent(ctx, dp.program, "a");
   absent.expect_header("ipv4", false);
-  EXPECT_FALSE(check(absent.build(), obs, ctx).empty());
+  EXPECT_FALSE(problems(absent.build(), obs).empty());
 }
 
 TEST_F(SpecTest, ChecksumExpectationRecomputes) {
   IntentBuilder ib(ctx, dp.program, "c");
   ib.expect_checksum("hdr.ipv4.csum", {"hdr.ipv4.src", "hdr.ipv4.dst"});
   // Wrong (zero) checksum in the output -> flagged.
-  auto failures = check(ib.build(), obs, ctx);
+  auto failures = problems(ib.build(), obs);
   ASSERT_FALSE(failures.empty());
   EXPECT_NE(failures[0].find("checksum error"), std::string::npos);
   // Fix it up and re-check.
@@ -119,7 +129,7 @@ TEST_F(SpecTest, ChecksumExpectationRecomputes) {
        obs.output.find("ipv4")->field(*ipv4, "dst")},
       {32, 32}, 16);
   obs.output.find("ipv4")->set_field(*ipv4, "csum", want);
-  EXPECT_TRUE(check(ib.build(), obs, ctx).empty());
+  EXPECT_TRUE(problems(ib.build(), obs).empty());
 }
 
 TEST_F(SpecTest, AssumeToPreconditionRenamesFields) {
