@@ -1,5 +1,6 @@
 #include "analysis/dataflow.hpp"
 
+#include <algorithm>
 #include <iterator>
 
 #include "p4/program.hpp"
@@ -20,6 +21,31 @@ std::vector<Atom> node_atoms(const cfg::Cfg& g, cfg::NodeId id) {
 }
 
 }  // namespace
+
+std::vector<cfg::NodeId> region_order(const cfg::Cfg& g, cfg::NodeId start,
+                                      cfg::NodeId stop,
+                                      std::vector<uint8_t>& in_region) {
+  in_region.assign(g.size(), 0);
+  std::vector<cfg::NodeId> order;
+  std::vector<std::pair<cfg::NodeId, size_t>> stack{{start, 0}};
+  in_region[start] = 1;
+  while (!stack.empty()) {
+    auto& [n, i] = stack.back();
+    const std::vector<cfg::NodeId>& succ = g.node(n).succ;
+    if (n != stop && i < succ.size()) {
+      const cfg::NodeId s = succ[i++];
+      if (!in_region[s]) {
+        in_region[s] = 1;
+        stack.emplace_back(s, 0);
+      }
+    } else {
+      order.push_back(n);
+      stack.pop_back();
+    }
+  }
+  std::reverse(order.begin(), order.end());
+  return order;
+}
 
 ValueDomain::ValueDomain(const ir::Context& ctx, const cfg::Cfg& g)
     : ctx_(ctx), g_(g) {
@@ -63,10 +89,12 @@ void ValueDomain::maybe_activate(State& s, int instance) const {
 }
 
 std::unordered_map<ir::FieldId, int> ValueDomain::compute_relevant(
-    const ir::Context& ctx, const cfg::Cfg& g) {
+    const ir::Context& ctx, const cfg::Cfg& g,
+    std::span<const uint8_t> region) {
   std::unordered_map<ir::FieldId, int> relevant;
   std::vector<std::pair<ir::FieldId, ir::FieldId>> copies;  // target <- src
   for (cfg::NodeId id = 0; id < g.size(); ++id) {
+    if (!region.empty() && region[id] == 0) continue;
     const cfg::Node& n = g.node(id);
     if (n.is_hash) continue;
     if (n.stmt.kind == ir::StmtKind::kAssume) {
@@ -162,10 +190,8 @@ Ternary ValueDomain::eval_assume(cfg::NodeId n, const State& in) const {
   return result;
 }
 
-std::optional<AbsState> ValueDomain::transfer(cfg::NodeId id,
-                                              const State& in) const {
+bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
   const cfg::Node& n = g_.node(id);
-  State out = in;
   if (n.instance >= 0 &&
       static_cast<size_t>(n.instance) < vfields_.size()) {
     maybe_activate(out, n.instance);
@@ -194,11 +220,11 @@ std::optional<AbsState> ValueDomain::transfer(cfg::NodeId id,
       out.defs[n.hash.dest] = DefKind::kWritten;
     }
     write_validity(n.hash.dest, std::nullopt);
-    return out;
+    return true;
   }
   switch (n.stmt.kind) {
     case ir::StmtKind::kNop:
-      return out;
+      return true;
     case ir::StmtKind::kAssign: {
       const ir::FieldId target = n.stmt.target;
       std::optional<uint64_t> cval;
@@ -213,11 +239,12 @@ std::optional<AbsState> ValueDomain::transfer(cfg::NodeId id,
           tracked = true;
         } else if (e->kind == ir::ExprKind::kField &&
                    e->width == rit->second) {
-          auto sit = in.values.find(e->field);
-          if (sit != in.values.end()) {
-            out.values.insert_or_assign(target, sit->second);
+          auto sit = out.values.find(e->field);
+          if (sit != out.values.end()) {
+            ValueRange copied = sit->second;
             uint64_t v = 0;
-            if (sit->second.is_constant(v)) cval = v;
+            if (copied.is_constant(v)) cval = v;
+            out.values.insert_or_assign(target, std::move(copied));
             tracked = true;
           }
         }
@@ -228,22 +255,22 @@ std::optional<AbsState> ValueDomain::transfer(cfg::NodeId id,
         out.defs[target] =
             n.instance >= 0 ? DefKind::kWritten : DefKind::kImplicit;
       }
-      return out;
+      return true;
     }
     case ir::StmtKind::kAssume: {
-      if (eval_assume(id, in) == Ternary::kFalse) return std::nullopt;
+      if (eval_assume(id, out) == Ternary::kFalse) return false;
       std::vector<Atom> atoms;
       std::vector<ir::ExprRef> opaque;
       decompose_conjunction(n.stmt.expr, atoms, opaque);
       for (const Atom& a : atoms) {
-        if (a.field == ir::kInvalidField) return std::nullopt;
+        if (a.field == ir::kInvalidField) return false;
         auto rit = relevant_.find(a.field);
         if (rit == relevant_.end()) continue;
         auto it = out.values.find(a.field);
         ValueRange r =
             it != out.values.end() ? it->second : ValueRange(rit->second);
         r.refine(a);
-        if (r.is_bottom()) return std::nullopt;  // jointly contradictory
+        if (r.is_bottom()) return false;  // jointly contradictory
         if (r.is_top()) {
           if (it != out.values.end()) out.values.erase(it);
         } else if (it != out.values.end()) {
@@ -270,24 +297,22 @@ std::optional<AbsState> ValueDomain::transfer(cfg::NodeId id,
                                       }),
                        combos.end());
         }
-        if (out.vcfg.combos.empty()) return std::nullopt;
+        if (out.vcfg.combos.empty()) return false;
       }
-      return out;
+      return true;
     }
   }
-  return out;
+  return true;
 }
 
-bool ValueDomain::join(State& into, const State& from) const {
-  bool changed = false;
+void ValueDomain::join(State& into, const State& from) const {
   for (auto it = into.values.begin(); it != into.values.end();) {
     auto fit = from.values.find(it->first);
     if (fit == from.values.end()) {
       it = into.values.erase(it);  // absent = top
-      changed = true;
       continue;
     }
-    if (it->second.join(fit->second)) changed = true;
+    it->second.join(fit->second);
     if (it->second.is_top()) {
       it = into.values.erase(it);
       continue;
@@ -295,19 +320,12 @@ bool ValueDomain::join(State& into, const State& from) const {
     ++it;
   }
   for (const auto& [f, kind] : from.defs) {
-    auto it = into.defs.find(f);
-    if (it == into.defs.end()) {
-      into.defs.emplace(f, kind);
-      changed = true;
-    } else if (it->second != kind && it->second != DefKind::kMixed) {
-      it->second = DefKind::kMixed;
-      changed = true;
-    }
+    auto [it, fresh] = into.defs.emplace(f, kind);
+    if (!fresh && it->second != kind) it->second = DefKind::kMixed;
   }
   if (into.vcfg.active) {
     if (!from.vcfg.active || from.vcfg.instance != into.vcfg.instance) {
       into.vcfg = ValidityCombos{};  // inactive = top
-      changed = true;
     } else {
       std::vector<uint32_t> merged;
       merged.reserve(into.vcfg.combos.size() + from.vcfg.combos.size());
@@ -316,50 +334,60 @@ bool ValueDomain::join(State& into, const State& from) const {
                      std::back_inserter(merged));
       if (merged.size() > kMaxCombos) {
         into.vcfg = ValidityCombos{};
-        changed = true;
-      } else if (merged != into.vcfg.combos) {
+      } else {
         into.vcfg.combos = std::move(merged);
-        changed = true;
       }
     }
   }
-  return changed;
 }
 
 Facts compute_facts(const ir::Context& ctx, const cfg::Cfg& g,
-                    cfg::NodeId start, const FactsOptions& opts) {
+                    cfg::NodeId start, cfg::NodeId stop) {
   Facts f;
   f.refuted.assign(g.size(), 0);
   f.unreachable.assign(g.size(), 0);
 
+  std::vector<uint8_t> in_region;
+  const std::vector<cfg::NodeId> order = region_order(g, start, stop, in_region);
   std::unordered_map<ir::FieldId, int> relevant =
-      ValueDomain::compute_relevant(ctx, g);
-  if (g.size() * relevant.size() > opts.state_budget) {
-    // Degrade to validity bits only (each instance re-parses, so validity
-    // refutations alone still carry most of the signal).
-    relevant.clear();
-    for (const cfg::InstanceInfo& inst : g.instances()) {
-      for (const auto& [h, vf] : inst.validity) relevant.emplace(vf, 1);
-    }
-    if (g.size() * relevant.size() > opts.state_budget) return f;
-  }
+      ValueDomain::compute_relevant(ctx, g, in_region);
   if (relevant.empty()) return f;
-
   ValueDomain dom(ctx, g);
   dom.set_relevant(std::move(relevant));
-  ForwardResult<ValueDomain> r = run_forward(g, start, dom);
-  for (cfg::NodeId id = 0; id < g.size(); ++id) {
-    if (!r.reachable[id]) continue;
-    if (!r.in[id]) {
+
+  // Live IN states by topological position: a state is created by the
+  // node's first processed predecessor and consumed by the node itself.
+  std::vector<uint32_t> pos(g.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    pos[order[i]] = static_cast<uint32_t>(i);
+  }
+  std::vector<std::optional<AbsState>> live(order.size());
+  live[0] = dom.boundary();
+  for (size_t i = 0; i < order.size(); ++i) {
+    const cfg::NodeId id = order[i];
+    if (!live[i]) {
       f.unreachable[id] = 1;
       ++f.unreachable_count;
       continue;
     }
-    const cfg::Node& n = g.node(id);
-    if (!n.is_hash && n.stmt.kind == ir::StmtKind::kAssume &&
-        !dom.transfer(id, *r.in[id])) {
+    AbsState s = std::move(*live[i]);
+    live[i].reset();
+    if (!dom.transfer(id, s)) {  // only assume nodes can fail
       f.refuted[id] = 1;
       ++f.refuted_count;
+      continue;
+    }
+    if (id == stop) continue;  // flow ends at the region's exit
+    const std::vector<cfg::NodeId>& succ = g.node(id).succ;
+    for (size_t k = 0; k < succ.size(); ++k) {
+      std::optional<AbsState>& to = live[pos[succ[k]]];
+      if (to) {
+        dom.join(*to, s);
+      } else if (k + 1 == succ.size()) {
+        to = std::move(s);
+      } else {
+        to = s;
+      }
     }
   }
   return f;

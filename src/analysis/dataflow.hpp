@@ -4,24 +4,27 @@
 // lattice over the per-instance `$valid` fields), and reaching-definition
 // kinds for metadata.
 //
-// `run_forward` is a classic worklist solver, generic over the domain: the
-// domain supplies the boundary state, the per-node transfer function
-// (returning nullopt for statically infeasible outcomes), and the join.
-// Nodes are processed in topological priority, so on Meissa's acyclic
-// graphs every node transfers once; the worklist re-queues successors on
-// lattice change, which keeps the solver correct on general graphs.
+// Both solvers walk the region reachable from a start node once, in
+// topological order. The domain supplies the boundary state, an in-place
+// per-node transfer function (false for statically infeasible outcomes),
+// and the join. CFGs are acyclic (`Cfg::check_well_formed` rejects
+// cycles), so each node is processed once, after all its predecessors,
+// and its IN state is already the fixpoint.
 //
-// `compute_facts` packages the solver for the hot path: which assume nodes
-// are statically refuted and which nodes are unreachable, computed from a
-// TOP boundary at `start` so the facts hold for *every* engine exploration
-// rooted there (any seeds, any pre-conditions) — the property that keeps
-// static pruning solver-equivalent and the template set byte-identical.
+// `run_forward` keeps every node's IN state (m4lint and the injection
+// analysis query them afterwards). `compute_facts` streams: it keeps a
+// state only while some predecessor of a node is processed and the node
+// itself is not, and digests the walk into which assume nodes are
+// statically refuted and which nodes are unreachable. Its boundary is TOP
+// at `start`, so the facts hold for *every* engine exploration rooted
+// there (any seeds, any pre-conditions) — the property that keeps static
+// pruning solver-equivalent and the template set byte-identical.
 #pragma once
 
-#include <algorithm>
 #include <optional>
-#include <set>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/domain.hpp"
@@ -29,6 +32,13 @@
 #include "ir/stmt.hpp"
 
 namespace meissa::analysis {
+
+// The region reachable from `start` in topological order (reverse DFS
+// post-order). The walk does not expand `stop`'s successors (kNoNode: no
+// bound). `in_region` is resized to the graph and marks the region.
+std::vector<cfg::NodeId> region_order(const cfg::Cfg& g, cfg::NodeId start,
+                                      cfg::NodeId stop,
+                                      std::vector<uint8_t>& in_region);
 
 template <class D>
 struct ForwardResult {
@@ -42,52 +52,21 @@ template <class D>
 ForwardResult<D> run_forward(const cfg::Cfg& g, cfg::NodeId start, D& dom) {
   ForwardResult<D> r;
   r.in.resize(g.size());
-  r.reachable.assign(g.size(), 0);
-
-  // Structural reachability + iterative post-order for topological indices.
-  std::vector<int> topo_index(g.size(), -1);
-  std::vector<cfg::NodeId> topo;
-  {
-    std::vector<std::pair<cfg::NodeId, size_t>> stack{{start, 0}};
-    r.reachable[start] = 1;
-    while (!stack.empty()) {
-      auto& [n, i] = stack.back();
-      const auto& succ = g.node(n).succ;
-      if (i < succ.size()) {
-        cfg::NodeId s = succ[i++];
-        if (!r.reachable[s]) {
-          r.reachable[s] = 1;
-          stack.emplace_back(s, 0);
-        }
-      } else {
-        topo.push_back(n);
-        stack.pop_back();
-      }
-    }
-    std::reverse(topo.begin(), topo.end());
-    for (size_t i = 0; i < topo.size(); ++i) {
-      topo_index[topo[i]] = static_cast<int>(i);
-    }
-  }
-
-  std::set<int> worklist;
   r.in[start] = dom.boundary();
-  worklist.insert(topo_index[start]);
-  while (!worklist.empty()) {
-    const int ti = *worklist.begin();
-    worklist.erase(worklist.begin());
-    const cfg::NodeId n = topo[static_cast<size_t>(ti)];
-    std::optional<typename D::State> out = dom.transfer(n, *r.in[n]);
-    if (!out) continue;  // statically infeasible: no flow to successors
-    for (cfg::NodeId s : g.node(n).succ) {
-      bool changed = false;
-      if (!r.in[s]) {
-        r.in[s] = *out;
-        changed = true;
+  for (cfg::NodeId n : region_order(g, start, cfg::kNoNode, r.reachable)) {
+    if (!r.in[n]) continue;
+    typename D::State out = *r.in[n];
+    if (!dom.transfer(n, out)) continue;  // infeasible: no flow onwards
+    const std::vector<cfg::NodeId>& succ = g.node(n).succ;
+    for (size_t i = 0; i < succ.size(); ++i) {
+      std::optional<typename D::State>& to = r.in[succ[i]];
+      if (to) {
+        dom.join(*to, out);
+      } else if (i + 1 == succ.size()) {
+        to = std::move(out);
       } else {
-        changed = dom.join(*r.in[s], *out);
+        to = out;
       }
-      if (changed) worklist.insert(topo_index[s]);
     }
   }
   return r;
@@ -146,8 +125,11 @@ class ValueDomain {
   // Fields whose abstract values can matter: every field mentioned by a
   // predicate atom, every per-instance validity bit, plus the transitive
   // sources of plain-copy assignments into the set. Values map field -> width.
+  // A non-empty `region` (one mark per node) limits the atom and copy scan
+  // to the marked nodes.
   static std::unordered_map<ir::FieldId, int> compute_relevant(
-      const ir::Context& ctx, const cfg::Cfg& g);
+      const ir::Context& ctx, const cfg::Cfg& g,
+      std::span<const uint8_t> region = {});
 
   // Metadata fields: targets of the glue zero-initialization (node
   // instance == -1), minus the drop/egress intrinsics.
@@ -155,8 +137,15 @@ class ValueDomain {
       const ir::Context& ctx, const cfg::Cfg& g);
 
   State boundary() const { return State{}; }
-  std::optional<State> transfer(cfg::NodeId n, const State& in) const;
-  bool join(State& into, const State& from) const;
+  // Applies node `n` to `s` in place. False = the node is statically
+  // infeasible under `s` (only assume nodes); `s` is then unspecified.
+  bool transfer(cfg::NodeId n, State& s) const;
+  // transfer() on a copy: whether node `n` is feasible under `in`.
+  bool feasible(cfg::NodeId n, const State& in) const {
+    State s = in;
+    return transfer(n, s);
+  }
+  void join(State& into, const State& from) const;
 
   // Three-valued truth of the node's predicate under `in` (kFalse =
   // statically refuted). Non-assume nodes are kTrue.
@@ -197,16 +186,14 @@ struct Facts {
   bool empty() const noexcept { return refuted_count == 0; }
 };
 
-struct FactsOptions {
-  // Cap on (nodes x tracked fields). Above it the value domain degrades to
-  // validity bits only, then to nothing (facts stay sound, just weaker).
-  size_t state_budget = 4'000'000;
-};
-
-// Runs the value domain from `start` with a TOP boundary and collects the
-// refuted/unreachable node sets. Valid for any exploration rooted at
-// `start` regardless of seeds or pre-conditions.
+// Runs the value domain from `start` with a TOP boundary over the region
+// that ends at `stop` (kNoNode: every node reachable from `start`) and
+// collects the refuted/unreachable node sets. Valid for any exploration
+// rooted at `start` that goes no further than `stop`, regardless of seeds
+// or pre-conditions; nodes outside the region read as neither. Each node
+// is processed once and its IN state freed right after, so at most the
+// states on the walk's frontier are alive at a time.
 Facts compute_facts(const ir::Context& ctx, const cfg::Cfg& g,
-                    cfg::NodeId start, const FactsOptions& opts = {});
+                    cfg::NodeId start, cfg::NodeId stop = cfg::kNoNode);
 
 }  // namespace meissa::analysis

@@ -30,7 +30,7 @@ struct LiveView {
   // node, and (for assumes) the predicate is not statically refuted there.
   bool live(NodeId n) const {
     if (!flow->reachable[n] || !flow->in[n]) return false;
-    return dom->transfer(n, *flow->in[n]).has_value();
+    return dom->feasible(n, *flow->in[n]);
   }
 
   Ternary verdict(NodeId n) const {
@@ -44,9 +44,9 @@ LiveView analyze(const ir::Context& ctx, const cfg::Cfg& g,
   std::unordered_map<ir::FieldId, int> relevant =
       ValueDomain::compute_relevant(ctx, g);
   if (g.size() * relevant.size() > state_budget) {
-    // Same degradation ladder as compute_facts: validity bits only, then
-    // structural reachability only (empty relevant set — every transfer is
-    // trivially feasible, so liveness degrades soundly to reachability).
+    // Degrade to validity bits only, then to structural reachability only
+    // (empty relevant set — every transfer is trivially feasible, so
+    // liveness degrades soundly to reachability).
     relevant.clear();
     for (const cfg::InstanceInfo& inst : g.instances()) {
       for (const auto& [h, vf] : inst.validity) relevant.emplace(vf, 1);

@@ -116,9 +116,10 @@ struct GuardFact {
 };
 
 struct InjectOptions {
-  // Mirrors FactsOptions::state_budget: above it the value domain degrades
-  // to validity bits, then to structural reachability only (sites stay
-  // sound — a structurally dead site is still never emitted).
+  // Cap on (nodes x tracked fields) of the retained per-node IN states:
+  // above it the value domain degrades to validity bits, then to
+  // structural reachability only (sites stay sound — a structurally dead
+  // site is still never emitted).
   size_t state_budget = 4'000'000;
   // Cap on kEntryRank pairs emitted per table (closest-rank pairs first).
   size_t max_rank_pairs_per_table = 8;

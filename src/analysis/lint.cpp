@@ -206,7 +206,7 @@ LintResult lint_cfg(const ir::Context& ctx, const cfg::Cfg& g) {
     // ---- contradictory-predicate: the assume refutes against the value
     // analysis (transfer yields no feasible outcome).
     if (!n.is_hash && n.stmt.kind == ir::StmtKind::kAssume && !n.synthetic &&
-        !dom.transfer(id, in) && !is_benign_invalid_arm(g, id, vfields)) {
+        !dom.feasible(id, in) && !is_benign_invalid_arm(g, id, vfields)) {
       emit(Severity::kWarning, "contradictory-predicate", id, {},
            "predicate is statically contradictory; this branch can never "
            "be taken");

@@ -474,10 +474,11 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
       eopts.shared_pc_cache = opts.shared_pc_cache;
     }
     // Per-instance dataflow facts, computed from the pipeline's entry with a
-    // TOP boundary — valid for any seeds/pre-conditions rooted there.
+    // TOP boundary — valid for any seeds/pre-conditions rooted there — over
+    // the region that ends at the pipeline's exit, where the engine stops.
     analysis::Facts facts;
     if (opts.static_pruning && !opts.check_every_predicate) {
-      facts = analysis::compute_facts(ctx, g, info.entry);
+      facts = analysis::compute_facts(ctx, g, info.entry, info.exit);
       eopts.facts = &facts;
     }
     sym::Engine eng(ctx, g, eopts);

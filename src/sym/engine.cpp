@@ -283,22 +283,33 @@ Engine::Engine(ir::Context& ctx, const cfg::Cfg& g, EngineOptions opts)
                opts_.facts->refuted.size() == g_.size();
   if (opts_.stop != cfg::kNoNode) {
     // Stop-mode exploration never needs nodes from which the stop node is
-    // unreachable; precompute the reverse-reachable region.
-    reaches_stop_.assign(g_.size(), false);
-    std::vector<std::vector<cfg::NodeId>> preds(g_.size());
-    for (cfg::NodeId id = 0; id < g_.size(); ++id) {
-      for (cfg::NodeId s : g_.node(id).succ) preds[s].push_back(id);
-    }
-    std::vector<cfg::NodeId> work{opts_.stop};
-    reaches_stop_[opts_.stop] = true;
-    while (!work.empty()) {
-      cfg::NodeId cur = work.back();
-      work.pop_back();
-      for (cfg::NodeId p : preds[cur]) {
-        if (!reaches_stop_[p]) {
-          reaches_stop_[p] = true;
-          work.push_back(p);
+    // unreachable. One memoised post-order walk over every node the DFS can
+    // enter (from the CFG entry and the start node) marks the nodes that
+    // reach stop; a node is decided once all its successors are. Nodes the
+    // walk never visits read as outside the region.
+    reaches_stop_.assign(g_.size(), kUnseen);
+    std::vector<std::pair<cfg::NodeId, size_t>> stack;
+    for (cfg::NodeId root : {g_.entry(), opts_.start}) {
+      if (root == cfg::kNoNode || reaches_stop_[root] != kUnseen) continue;
+      reaches_stop_[root] = kNoReach;  // until its successors are decided
+      stack.emplace_back(root, 0);
+      while (!stack.empty()) {
+        auto& [n, i] = stack.back();
+        const std::vector<cfg::NodeId>& succ = g_.node(n).succ;
+        if (n != opts_.stop && i < succ.size()) {
+          const cfg::NodeId s = succ[i++];
+          if (reaches_stop_[s] == kUnseen) {
+            reaches_stop_[s] = kNoReach;
+            stack.emplace_back(s, 0);
+          }
+          continue;
         }
+        bool reaches = n == opts_.stop;
+        for (size_t k = 0; k < succ.size() && !reaches; ++k) {
+          reaches = reaches_stop_[succ[k]] == kReaches;
+        }
+        reaches_stop_[n] = reaches ? kReaches : kNoReach;
+        stack.pop_back();
       }
     }
   }
@@ -486,7 +497,7 @@ void Engine::run_from(const Frontier& from, const Sink& sink) {
 
 std::vector<cfg::Path> Engine::compute_shards(size_t target) const {
   cfg::NodeId start = opts_.start == cfg::kNoNode ? g_.entry() : opts_.start;
-  if (!reaches_stop_.empty() && !reaches_stop_[start]) return {};
+  if (off_target(start)) return {};
   std::vector<cfg::Path> shards{{start}};
   bool grew = true;
   while (shards.size() < target && grew) {
@@ -503,7 +514,7 @@ std::vector<cfg::Path> Engine::compute_shards(size_t target) const {
       for (cfg::NodeId s : n.succ) {
         // Off-target successors (stop mode) contribute no results; the
         // sequential DFS abandons them on entry, so skip them here too.
-        if (!reaches_stop_.empty() && !reaches_stop_[s]) continue;
+        if (off_target(s)) continue;
         cfg::Path q = p;
         q.push_back(s);
         next.push_back(std::move(q));
@@ -702,7 +713,7 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
   if (aborted) return;
   const cfg::Cfg& g = eng.g_;
   const EngineOptions& opts = eng.opts_;
-  if (!eng.reaches_stop_.empty() && !eng.reaches_stop_[id]) return;
+  if (eng.off_target(id)) return;
   // During resume replay the counters are frozen: the snapshot's stats
   // already cover this re-executed prefix, and counting it again would
   // make a resumed run's stats diverge from an uninterrupted run's.

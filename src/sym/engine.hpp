@@ -67,7 +67,9 @@ struct EngineOptions {
   bool static_pruning = true;
   // Optional precomputed dataflow facts for this graph (refuted assume
   // nodes). Must be computed from the same start node with a TOP boundary
-  // (analysis::compute_facts) and outlive the engine.
+  // (analysis::compute_facts), over a region no smaller than the one this
+  // exploration can reach (bounded by the same stop node at most), and
+  // outlive the engine.
   const analysis::Facts* facts = nullptr;
   // Per-check solver resource budget. A check that exhausts it yields
   // kUnknown and the affected branch is recorded as *degraded* (counted in
@@ -282,7 +284,12 @@ class Engine {
   // formula and verdicts transfer across engines and runs.
   smt::PathSig precond_sig_;
   std::vector<std::pair<ir::FieldId, ir::ExprRef>> seeds_;
-  std::vector<bool> reaches_stop_;  // stop mode: region that reaches stop
+  // Stop mode: per node, whether the stop node is reachable from it.
+  enum : uint8_t { kUnseen, kNoReach, kReaches };
+  std::vector<uint8_t> reaches_stop_;
+  bool off_target(cfg::NodeId n) const {
+    return !reaches_stop_.empty() && reaches_stop_[n] != kReaches;
+  }
   // Static gates active: pruning on, not in the paper-faithful ablation,
   // and the facts (if any) cover this graph.
   bool gates_ = false;

@@ -1,6 +1,7 @@
 // Tests for the static-analysis subsystem: atom decomposition, abstract
 // value ranges, the forward dataflow solver (including the validity-combo
-// refinement), path environments, engine-facing facts, and the lint
+// refinement), path environments, engine-facing facts (streaming and
+// region-bounded, against a fixpoint oracle), and the lint
 // detectors over the seeded-bug corpus.
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "analysis/lint.hpp"
 #include "apps/apps.hpp"
 #include "cfg/build.hpp"
+#include "summary/summary.hpp"
+#include "util/rng.hpp"
 
 namespace meissa::analysis {
 namespace {
@@ -356,6 +359,198 @@ TEST(Dataflow, ValidityCombosKeepJoinLostCorrelations) {
   EXPECT_EQ(dom.validity_of(*r.in[read], 0, va), Ternary::kTrue);
 }
 
+// ------------------------------------------------------------------ facts
+
+cfg::Cfg bug_cfg(ir::Context& ctx, int index, apps::BugScenario* out = nullptr) {
+  apps::BugScenario bug = apps::make_bug(ctx, index);
+  cfg::Cfg g = cfg::build_cfg(bug.bundle.dp, bug.bundle.rules, ctx);
+  if (out != nullptr) *out = std::move(bug);
+  return g;
+}
+
+// The fixpoint oracle for compute_facts: run_forward keeps every node's IN
+// state over the whole graph's relevant fields. A node is unreachable when
+// it is structurally reachable with no IN state, and refuted when it is an
+// assume node whose transfer of its IN state fails.
+Facts oracle_facts(const ir::Context& ctx, const cfg::Cfg& g,
+                   cfg::NodeId start) {
+  Facts f;
+  f.refuted.assign(g.size(), 0);
+  f.unreachable.assign(g.size(), 0);
+  ValueDomain dom(ctx, g);
+  dom.set_relevant(ValueDomain::compute_relevant(ctx, g));
+  if (dom.relevant().empty()) return f;
+  ForwardResult<ValueDomain> r = run_forward(g, start, dom);
+  for (cfg::NodeId id = 0; id < g.size(); ++id) {
+    if (!r.reachable[id]) continue;
+    if (!r.in[id]) {
+      f.unreachable[id] = 1;
+      ++f.unreachable_count;
+      continue;
+    }
+    const cfg::Node& n = g.node(id);
+    if (!n.is_hash && n.stmt.kind == ir::StmtKind::kAssume &&
+        !dom.feasible(id, *r.in[id])) {
+      f.refuted[id] = 1;
+      ++f.refuted_count;
+    }
+  }
+  return f;
+}
+
+void expect_same_facts(const Facts& got, const Facts& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.refuted, want.refuted) << what;
+  EXPECT_EQ(got.unreachable, want.unreachable) << what;
+  EXPECT_EQ(got.refuted_count, want.refuted_count) << what;
+  EXPECT_EQ(got.unreachable_count, want.unreachable_count) << what;
+}
+
+// A seeded random DAG over assume, assign and hash nodes. Fields are 1-8
+// bits wide; one instance owns three validity bits, which a prologue may
+// reset so the combo refinement activates. Every node has a predecessor
+// with a lower id, so the whole graph is reachable from node 0.
+cfg::Cfg random_dag(ir::Context& ctx, util::Rng& rng) {
+  std::vector<ir::FieldId> fields;
+  const size_t nf = 2 + rng.below(4);
+  for (size_t i = 0; i < nf; ++i) {
+    fields.push_back(ctx.fields.intern("f" + std::to_string(i),
+                                       static_cast<int>(1 + rng.below(8))));
+  }
+  cfg::InstanceInfo info;
+  info.name = "p0";
+  info.pipeline = "p0";
+  for (const char* h : {"a", "b", "c"}) {
+    const ir::FieldId vf =
+        ctx.fields.intern(std::string("hdr.") + h + ".$valid@p0", 1);
+    info.validity.emplace(h, vf);
+    fields.push_back(vf);
+  }
+  auto pick = [&] { return fields[rng.below(fields.size())]; };
+  auto konst = [&](ir::FieldId f) {
+    const int w = ctx.fields.width(f);
+    return ctx.arena.constant(rng.bits(w), w);
+  };
+  auto atom = [&]() -> ir::ExprRef {
+    const ir::FieldId f = pick();
+    ir::ExprRef lhs = ctx.var(f);
+    if (rng.chance(1, 5)) {
+      lhs = ctx.arena.arith(ir::ArithOp::kAnd, lhs, konst(f));
+    }
+    const auto op = static_cast<ir::CmpOp>(rng.below(6));
+    return ctx.arena.cmp(op, lhs, konst(f));
+  };
+
+  cfg::Cfg g;
+  const size_t n = 4 + rng.below(37);
+  std::vector<cfg::NodeId> ids;
+  for (size_t i = 0; i < n; ++i) {
+    cfg::NodeId id = 0;
+    const uint64_t kind = i == 0 ? 9 : rng.below(10);
+    if (i == 0) {
+      id = g.add(ir::Stmt::nop());
+    } else if (i <= 3 && rng.chance(3, 4)) {
+      // Validity-reset prologue.
+      id = g.add(ir::Stmt::assign(fields[nf + i - 1],
+                                  ctx.arena.constant(0, 1)));
+    } else if (kind < 4) {
+      ir::ExprRef e = atom();
+      if (rng.chance(1, 4)) e = ctx.arena.band(e, atom());
+      if (rng.chance(1, 6)) e = ctx.arena.bnot(e);
+      id = g.add(ir::Stmt::assume(e));
+    } else if (kind < 8) {
+      const ir::FieldId t = pick();
+      const ir::FieldId src = pick();
+      ir::ExprRef e = konst(t);
+      if (kind == 5 && ctx.fields.width(src) == ctx.fields.width(t)) {
+        e = ctx.var(src);
+      } else if (kind == 6) {
+        e = ctx.arena.arith(ir::ArithOp::kAdd, ctx.var(t), konst(t));
+      }
+      id = g.add(ir::Stmt::assign(t, e));
+    } else {
+      cfg::HashStmt h;
+      h.dest = pick();
+      h.keys = {pick()};
+      id = g.add_hash(h);
+    }
+    g.node(id).instance = rng.chance(1, 8) ? -1 : 0;
+    ids.push_back(id);
+  }
+  g.set_entry(ids[0]);
+  for (size_t i = 1; i < n; ++i) g.link(ids[rng.below(i)], ids[i]);
+  for (size_t i = 0; i + 1 < n; ++i) {
+    for (uint64_t e = rng.below(3); e > 0; --e) {
+      g.link(ids[i], ids[rng.range(i + 1, n - 1)]);
+    }
+  }
+  info.entry = ids[0];
+  info.exit = ids[n - 1];
+  g.instances().push_back(info);
+  return g;
+}
+
+// Checks the streaming facts against the oracle from the graph's entry,
+// and each pipeline's region-bounded facts against the unbounded ones
+// from the same entry on every node of the region.
+void check_graph(const ir::Context& ctx, const cfg::Cfg& g,
+                 const std::string& what) {
+  expect_same_facts(compute_facts(ctx, g, g.entry()),
+                    oracle_facts(ctx, g, g.entry()), what);
+  for (const cfg::InstanceInfo& info : g.instances()) {
+    const Facts bounded = compute_facts(ctx, g, info.entry, info.exit);
+    const Facts full = compute_facts(ctx, g, info.entry);
+    std::vector<uint8_t> in_region;
+    region_order(g, info.entry, info.exit, in_region);
+    size_t differ = 0;
+    for (cfg::NodeId id = 0; id < g.size(); ++id) {
+      if (!in_region[id]) {
+        differ += bounded.refuted[id] + bounded.unreachable[id];
+      } else if (bounded.refuted[id] != full.refuted[id] ||
+                 bounded.unreachable[id] != full.unreachable[id]) {
+        ++differ;
+      }
+    }
+    EXPECT_EQ(differ, 0u) << what << " pipeline " << info.name;
+  }
+}
+
+TEST(Facts, StreamingMatchesFixpointOracle) {
+  uint64_t refuted = 0, unreachable = 0;
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    ir::Context ctx;
+    util::Rng rng(seed);
+    cfg::Cfg g = random_dag(ctx, rng);
+    const Facts want = oracle_facts(ctx, g, g.entry());
+    expect_same_facts(compute_facts(ctx, g, g.entry()), want,
+                      "random DAG seed " + std::to_string(seed));
+    refuted += want.refuted_count;
+    unreachable += want.unreachable_count;
+  }
+  // The random programs exercise both kinds of fact.
+  EXPECT_GT(refuted, 0u);
+  EXPECT_GT(unreachable, 0u);
+
+  auto original_and_summarized = [](ir::Context& ctx, const cfg::Cfg& g,
+                                    const std::string& what) {
+    check_graph(ctx, g, what);
+    check_graph(ctx, summary::summarize(ctx, g).graph, what + " summarized");
+  };
+  for (int level = 1; level <= 4; ++level) {
+    ir::Context ctx;
+    apps::GwConfig cfg;
+    cfg.level = level;
+    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    original_and_summarized(ctx, cfg::build_cfg(app.dp, app.rules, ctx),
+                            "gw-" + std::to_string(level));
+  }
+  for (int index = 1; index <= 16; ++index) {
+    ir::Context ctx;
+    original_and_summarized(ctx, bug_cfg(ctx, index),
+                            "bug " + std::to_string(index));
+  }
+}
+
 // --------------------------------------------------------------- path env
 
 TEST(PathEnv, VerdictsAndRollback) {
@@ -405,13 +600,6 @@ TEST(PathEnv, OpaqueConjunctsPoisonTheVerdict) {
 }
 
 // ------------------------------------------------------------------- lint
-
-cfg::Cfg bug_cfg(ir::Context& ctx, int index, apps::BugScenario* out = nullptr) {
-  apps::BugScenario bug = apps::make_bug(ctx, index);
-  cfg::Cfg g = cfg::build_cfg(bug.bundle.dp, bug.bundle.rules, ctx);
-  if (out != nullptr) *out = std::move(bug);
-  return g;
-}
 
 bool has_code(const LintResult& r, const std::string& code) {
   for (const Diagnostic& d : r.diagnostics) {

@@ -1,11 +1,14 @@
 // Crash-safe checkpointing (driver/checkpoint): payload round-trips are
 // name-based (a fresh Context re-serializes to the same bytes), the file
 // image rejects every corruption class (magic, version, key, truncation,
-// payload bit-flips) via its CRC, the manager falls back to `.prev` when
-// the current file fails validation, and an engine-level mid-flight
-// frontier resumes to the exact result stream of an uninterrupted run.
+// payload bit-flips) via its CRC, seeded havoc mutants of a real payload
+// and file image load or are rejected without crashing, the manager falls
+// back to `.prev` when the current file fails validation, and an
+// engine-level mid-flight frontier resumes to the exact result stream of
+// an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +20,7 @@
 #include "driver/generator.hpp"
 #include "sym/engine.hpp"
 #include "testlib.hpp"
+#include "util/rng.hpp"
 
 namespace meissa {
 namespace {
@@ -219,6 +223,105 @@ TEST(Checkpoint, FileImageRejectsEveryCorruptionClass) {
   bad = image;
   bad[bad.size() / 2] ^= 0x01;
   EXPECT_FALSE(driver::decode_checkpoint_file(fresh, key, bad));
+}
+
+// 1-6 havoc edits: bit flips, byte sets, truncations, splices of another
+// stretch of the same image, and overwritten count fields (a u64 at a
+// random offset set to a boundary or oversized value).
+std::vector<uint8_t> havoc(std::vector<uint8_t> b, util::Rng& rng) {
+  static const uint64_t kCounts[] = {0,       1,          2,
+                                     7,       255,        65536,
+                                     1 << 24, uint64_t{1} << 62,
+                                     ~uint64_t{0}};
+  const uint64_t edits = 1 + rng.below(6);
+  for (uint64_t e = 0; e < edits && !b.empty(); ++e) {
+    const size_t at = rng.below(b.size());
+    switch (rng.below(5)) {
+      case 0:
+        b[at] ^= static_cast<uint8_t>(1u << rng.below(8));
+        break;
+      case 1:
+        b[at] = static_cast<uint8_t>(rng.bits(8));
+        break;
+      case 2:
+        b.resize(at);
+        break;
+      case 3: {
+        const size_t from = rng.below(b.size());
+        const size_t len = 1 + rng.below(std::min<size_t>(64, b.size() - from));
+        std::vector<uint8_t> chunk(b.begin() + from, b.begin() + from + len);
+        if (rng.chance(1, 2)) {
+          b.insert(b.begin() + at, chunk.begin(), chunk.end());
+        } else {
+          for (size_t i = 0; i < len && at + i < b.size(); ++i) {
+            b[at + i] = chunk[i];
+          }
+        }
+        break;
+      }
+      default: {
+        if (b.size() < 8) break;
+        const size_t off = rng.below(b.size() - 7);
+        const uint64_t v = kCounts[rng.below(std::size(kCounts))];
+        for (int i = 0; i < 8; ++i) b[off + i] = uint8_t(v >> (8 * i));
+        break;
+      }
+    }
+  }
+  return b;
+}
+
+TEST(Checkpoint, SeededMutantsLoadOrAreRejected) {
+  // Only util::Error is caught from the payload reader, and the file
+  // decoder must not throw at all: any other exception escapes and fails
+  // the test, and a crash or sanitizer report fails the run. A mutant is a
+  // function of (seed, i), so the pair reproduces a failure.
+  ir::Context ctx;
+  p4::DataPlane dp = testlib::make_fig7_plane(ctx);
+  cfg::Cfg g = cfg::build_cfg(dp, testlib::fig7_rules(3), ctx);
+  const driver::CheckpointData d = make_fig7_data(ctx, g);
+  const uint64_t key = 0x1122334455667788ull;
+  const std::vector<uint8_t> payload = driver::serialize_checkpoint(ctx, d);
+  const std::vector<uint8_t> image = driver::encode_checkpoint_file(ctx, key, d);
+  constexpr size_t kHeader = 32;  // magic, version, key, length, CRC
+  ASSERT_EQ(image.size(), kHeader + payload.size());
+
+  size_t payload_loaded = 0, payload_rejected = 0;
+  size_t image_loaded = 0, image_rejected = 0;
+  util::Rng rng(21);
+  for (int i = 0; i < 2000; ++i) {
+    const std::vector<uint8_t> bad = havoc(payload, rng);
+    ir::Context fresh;
+    try {
+      driver::deserialize_checkpoint(fresh, bad);
+      ++payload_loaded;
+    } catch (const util::Error&) {
+      ++payload_rejected;
+    }
+  }
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<uint8_t> bad = havoc(image, rng);
+    // Half the mutants get a re-stamped length and CRC, so they pass the
+    // header checks and reach the payload reader.
+    if (bad.size() >= kHeader && rng.chance(1, 2)) {
+      const uint64_t len = bad.size() - kHeader;
+      for (int b = 0; b < 8; ++b) bad[20 + b] = uint8_t(len >> (8 * b));
+      const uint32_t crc = driver::crc32(bad.data() + kHeader, len);
+      for (int b = 0; b < 4; ++b) bad[28 + b] = uint8_t(crc >> (8 * b));
+    }
+    ir::Context fresh;
+    if (driver::decode_checkpoint_file(fresh, key, bad)) {
+      ++image_loaded;
+    } else {
+      ++image_rejected;
+    }
+  }
+  // Both outcomes occur on both surfaces, so mutants reach past the
+  // first length check.
+  EXPECT_GT(payload_loaded, 0u);
+  EXPECT_GT(payload_rejected, 0u);
+  EXPECT_GT(image_loaded, 0u);
+  EXPECT_GT(image_rejected, 0u);
 }
 
 TEST(Checkpoint, ManagerPersistsAndReloads) {
