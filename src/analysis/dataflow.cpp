@@ -10,12 +10,12 @@ namespace meissa::analysis {
 namespace {
 
 // Decomposed predicate of one assume node (empty for other nodes).
-std::vector<Atom> node_atoms(const cfg::Cfg& g, cfg::NodeId id) {
-  std::vector<Atom> atoms;
+std::vector<smt::Atom> node_atoms(const cfg::Cfg& g, cfg::NodeId id) {
+  std::vector<smt::Atom> atoms;
   const cfg::Node& n = g.node(id);
   if (!n.is_hash && n.stmt.kind == ir::StmtKind::kAssume) {
     std::vector<ir::ExprRef> opaque;
-    decompose_conjunction(n.stmt.expr, atoms, opaque);
+    smt::decompose_conjunction(n.stmt.expr, atoms, opaque);
   }
   return atoms;
 }
@@ -98,7 +98,7 @@ std::unordered_map<ir::FieldId, int> ValueDomain::compute_relevant(
     const cfg::Node& n = g.node(id);
     if (n.is_hash) continue;
     if (n.stmt.kind == ir::StmtKind::kAssume) {
-      for (const Atom& a : node_atoms(g, id)) {
+      for (const smt::Atom& a : node_atoms(g, id)) {
         if (a.field != ir::kInvalidField) relevant.emplace(a.field, a.width);
       }
     } else if (n.stmt.kind == ir::StmtKind::kAssign &&
@@ -167,10 +167,10 @@ Ternary ValueDomain::eval_assume(cfg::NodeId n, const State& in) const {
   }
   Ternary result = Ternary::kTrue;
   std::vector<ir::ExprRef> opaque;
-  std::vector<Atom> atoms;
-  decompose_conjunction(node.stmt.expr, atoms, opaque);
+  std::vector<smt::Atom> atoms;
+  smt::decompose_conjunction(node.stmt.expr, atoms, opaque);
   if (!opaque.empty()) result = Ternary::kUnknown;
-  for (const Atom& a : atoms) {
+  for (const smt::Atom& a : atoms) {
     if (a.field == ir::kInvalidField) return Ternary::kFalse;
     auto it = in.values.find(a.field);
     if (it == in.values.end()) {
@@ -259,10 +259,10 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
     }
     case ir::StmtKind::kAssume: {
       if (eval_assume(id, out) == Ternary::kFalse) return false;
-      std::vector<Atom> atoms;
+      std::vector<smt::Atom> atoms;
       std::vector<ir::ExprRef> opaque;
-      decompose_conjunction(n.stmt.expr, atoms, opaque);
-      for (const Atom& a : atoms) {
+      smt::decompose_conjunction(n.stmt.expr, atoms, opaque);
+      for (const smt::Atom& a : atoms) {
         if (a.field == ir::kInvalidField) return false;
         auto rit = relevant_.find(a.field);
         if (rit == relevant_.end()) continue;
@@ -283,7 +283,7 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
       // tracked validity field. An emptied set refutes the whole predicate
       // (no reachable validity assignment satisfies it).
       if (out.vcfg.active) {
-        for (const Atom& a : atoms) {
+        for (const smt::Atom& a : atoms) {
           auto bit = vbit_.find(a.field);
           if (bit == vbit_.end() || bit->second.first != out.vcfg.instance) {
             continue;
@@ -292,8 +292,8 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
           auto& combos = out.vcfg.combos;
           combos.erase(std::remove_if(combos.begin(), combos.end(),
                                       [&](uint32_t c) {
-                                        return !atom_holds((c >> shift) & 1u,
-                                                           a);
+                                        return !smt::atom_holds(
+                                            (c >> shift) & 1u, a);
                                       }),
                        combos.end());
         }

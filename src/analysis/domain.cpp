@@ -6,195 +6,7 @@
 
 namespace meissa::analysis {
 
-namespace {
-
 using ir::CmpOp;
-using ir::ExprKind;
-using ir::ExprRef;
-
-CmpOp mirror(CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: return CmpOp::kGt;
-    case CmpOp::kLe: return CmpOp::kGe;
-    case CmpOp::kGt: return CmpOp::kLt;
-    case CmpOp::kGe: return CmpOp::kLe;
-    default: return op;  // kEq/kNe are symmetric
-  }
-}
-
-CmpOp flipped(CmpOp op) {
-  switch (op) {
-    case CmpOp::kEq: return CmpOp::kNe;
-    case CmpOp::kNe: return CmpOp::kEq;
-    case CmpOp::kLt: return CmpOp::kGe;
-    case CmpOp::kLe: return CmpOp::kGt;
-    case CmpOp::kGt: return CmpOp::kLe;
-    case CmpOp::kGe: return CmpOp::kLt;
-  }
-  return op;
-}
-
-// cmp(field-or-masked-field, const) in either operand order.
-bool classify_cmp(ExprRef e, Atom& a) {
-  ExprRef l = e->lhs;
-  ExprRef r = e->rhs;
-  CmpOp op = e->cmp_op();
-  if (l->kind == ExprKind::kConst && r->kind != ExprKind::kConst) {
-    std::swap(l, r);
-    op = mirror(op);
-  }
-  if (r->kind != ExprKind::kConst) return false;
-  ExprRef base = l;
-  uint64_t mask = ~uint64_t{0};
-  if (l->kind == ExprKind::kArith && l->arith_op() == ir::ArithOp::kAnd) {
-    if (l->rhs->kind == ExprKind::kConst && l->lhs->kind == ExprKind::kField) {
-      mask = l->rhs->value;
-      base = l->lhs;
-    } else if (l->lhs->kind == ExprKind::kConst &&
-               l->rhs->kind == ExprKind::kField) {
-      mask = l->lhs->value;
-      base = l->rhs;
-    } else {
-      return false;
-    }
-    if (op != CmpOp::kEq && op != CmpOp::kNe) return false;
-  }
-  if (base->kind != ExprKind::kField) return false;
-  a.field = base->field;
-  a.width = base->width;
-  a.op = op;
-  a.mask = util::truncate(mask, base->width);
-  a.value = util::truncate(r->value, base->width);
-  if ((op == CmpOp::kEq || op == CmpOp::kNe) && (a.value & ~a.mask) != 0) {
-    // The constant has bits outside the mask: (f & m) == c never holds,
-    // (f & m) != c always does. Canonicalize to the trivially-false /
-    // trivially-true unsigned range atom so negation stays correct.
-    a.op = op == CmpOp::kEq ? CmpOp::kLt : CmpOp::kGe;
-    a.mask = util::mask_bits(base->width);
-    a.value = 0;
-  }
-  a.set.clear();
-  return true;
-}
-
-// OR-tree whose leaves are all `field == const` on the same field: the
-// merged pre-condition / any-of shape. Produces a membership atom.
-bool collect_set_leaves(ExprRef e, ir::FieldId& field, int& width,
-                        std::vector<uint64_t>& values) {
-  if (e->kind == ExprKind::kBool && e->bool_op() == ir::BoolOp::kOr) {
-    return collect_set_leaves(e->lhs, field, width, values) &&
-           collect_set_leaves(e->rhs, field, width, values);
-  }
-  Atom a;
-  if (!classify_cmp(e, a) || a.op != CmpOp::kEq || !a.is_exact_mask()) {
-    return false;
-  }
-  if (field != ir::kInvalidField && field != a.field) return false;
-  field = a.field;
-  width = a.width;
-  values.push_back(a.value);
-  return true;
-}
-
-bool classify_value_set(ExprRef e, Atom& a) {
-  ir::FieldId field = ir::kInvalidField;
-  int width = 0;
-  std::vector<uint64_t> values;
-  if (!collect_set_leaves(e, field, width, values)) return false;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  a.field = field;
-  a.width = width;
-  a.op = CmpOp::kEq;
-  a.mask = util::mask_bits(width);
-  a.value = 0;
-  a.set = std::move(values);
-  return true;
-}
-
-void decompose(ExprRef e, bool negated, std::vector<Atom>& atoms,
-               std::vector<ir::ExprRef>& opaque) {
-  switch (e->kind) {
-    case ExprKind::kBoolConst: {
-      const bool truth = (e->value == 1) != negated;
-      if (!truth) atoms.push_back(Atom{});  // kInvalidField: constant false
-      return;
-    }
-    case ExprKind::kNot:
-      decompose(e->lhs, !negated, atoms, opaque);
-      return;
-    case ExprKind::kBool: {
-      const bool conj = (e->bool_op() == ir::BoolOp::kAnd) != negated;
-      if (conj) {
-        // a && b, or De Morgan'd !(a || b).
-        decompose(e->lhs, negated, atoms, opaque);
-        decompose(e->rhs, negated, atoms, opaque);
-        return;
-      }
-      // A disjunction: only the single-field value-set shape is tractable.
-      Atom a;
-      if (!negated && classify_value_set(e, a)) {
-        atoms.push_back(std::move(a));
-        return;
-      }
-      if (negated && classify_value_set(e, a)) {
-        // !(f IN S): one exclusion atom per member.
-        for (uint64_t v : a.set) {
-          Atom ne;
-          ne.field = a.field;
-          ne.width = a.width;
-          ne.op = CmpOp::kNe;
-          ne.mask = a.mask;
-          ne.value = v;
-          atoms.push_back(std::move(ne));
-        }
-        return;
-      }
-      break;
-    }
-    case ExprKind::kCmp: {
-      Atom a;
-      if (classify_cmp(e, a)) {
-        if (negated) a = negate_atom(a);
-        atoms.push_back(std::move(a));
-        return;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  // Opaque conjunct. Record the expression as seen (negation preserved
-  // only structurally; callers treat opaque conjuncts as unknown anyway,
-  // they only need the fields involved).
-  opaque.push_back(e);
-}
-
-}  // namespace
-
-bool Atom::is_exact_mask() const noexcept {
-  return util::truncate(mask, width) == util::mask_bits(width);
-}
-
-void decompose_conjunction(ir::ExprRef e, std::vector<Atom>& atoms,
-                           std::vector<ir::ExprRef>& opaque) {
-  if (e == nullptr) return;
-  decompose(e, false, atoms, opaque);
-}
-
-Atom negate_atom(const Atom& a) {
-  Atom n = a;
-  n.op = flipped(a.op);
-  return n;
-}
-
-bool atom_holds(uint64_t v, const Atom& a) noexcept {
-  if (!a.set.empty()) {
-    return std::binary_search(a.set.begin(), a.set.end(), v);
-  }
-  const bool eqish = a.op == CmpOp::kEq || a.op == CmpOp::kNe;
-  return ir::apply_cmp(a.op, eqish ? (v & a.mask) : v, a.value);
-}
 
 // ---------------------------------------------------------------- ValueRange
 
@@ -293,12 +105,12 @@ bool ValueRange::join(const ValueRange& o) {
   return changed;
 }
 
-void ValueRange::refine(const Atom& a) {
+void ValueRange::refine(const smt::Atom& a) {
   if (small()) {
     uint64_t kept = 0;
     for (uint64_t v = 0; v < (uint64_t{1} << width_); ++v) {
       if ((bitmap_ >> v) & 1) {
-        if (atom_holds(v, a)) kept |= uint64_t{1} << v;
+        if (smt::atom_holds(v, a)) kept |= uint64_t{1} << v;
       }
     }
     bitmap_ = kept;
@@ -385,14 +197,14 @@ void ValueRange::refine(const Atom& a) {
   }
 }
 
-Ternary ValueRange::eval(const Atom& a) const {
+Ternary ValueRange::eval(const smt::Atom& a) const {
   if (is_bottom()) return Ternary::kUnknown;  // unreachable state: no claim
   if (small()) {
     bool any = false;
     bool all = true;
     for (uint64_t v = 0; v < (uint64_t{1} << width_); ++v) {
       if ((bitmap_ >> v) & 1) {
-        if (atom_holds(v, a)) {
+        if (smt::atom_holds(v, a)) {
           any = true;
         } else {
           all = false;
@@ -413,14 +225,14 @@ Ternary ValueRange::eval(const Atom& a) const {
   };
   uint64_t c = 0;
   if (is_constant(c)) {
-    return atom_holds(c, a) ? Ternary::kTrue : Ternary::kFalse;
+    return smt::atom_holds(c, a) ? Ternary::kTrue : Ternary::kFalse;
   }
   if (hi_ - lo_ < 256) {
     bool any = false;
     bool all = true;
     for (uint64_t v = lo_;; ++v) {
       if (plausible(v)) {
-        if (atom_holds(v, a)) {
+        if (smt::atom_holds(v, a)) {
           any = true;
         } else {
           all = false;

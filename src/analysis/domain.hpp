@@ -2,54 +2,24 @@
 //
 // Data-plane predicates are overwhelmingly conjunctions of single-field
 // atoms — exact/ternary matches, range checks, validity guards, and
-// negations of higher-priority entries. `decompose_conjunction` lowers a
-// boolean expression into that normal form (atoms + opaque residue), and
-// `ValueRange` is the per-field abstract value the dataflow pass joins and
-// refines: an unsigned interval plus known bits plus a small exclusion
-// list, or an exact value bitmap for narrow fields (<= 6 bits).
+// negations of higher-priority entries. The atoms and their decomposer,
+// `smt::decompose_conjunction`, live in smt/domain.hpp next to
+// `smt::Domain`, the exact per-field domain of the solver's fast path and
+// `PathEnv`. `ValueRange` is the per-field abstract value the dataflow
+// pass joins and refines with those atoms: an unsigned interval plus
+// known bits plus a small exclusion list, or an exact value bitmap for
+// narrow fields (<= 6 bits).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "ir/expr.hpp"
+#include "smt/domain.hpp"
 
 namespace meissa::analysis {
 
 enum class Ternary : uint8_t { kFalse, kTrue, kUnknown };
-
-// One single-field atomic constraint: cmp((field & mask), value), or a
-// value-set membership f IN `set` (the any-of shape of merged
-// pre-conditions). A full-width mask means a plain compare. A constraint
-// that is constantly false decomposes to an atom with field ==
-// ir::kInvalidField.
-struct Atom {
-  ir::FieldId field = ir::kInvalidField;
-  int width = 0;
-  ir::CmpOp op = ir::CmpOp::kEq;
-  uint64_t mask = ~uint64_t{0};
-  uint64_t value = 0;
-  std::vector<uint64_t> set;  // non-empty: membership atom; op/mask unused
-
-  bool is_exact_mask() const noexcept;
-};
-
-// Lowers `e` into a conjunction: every conjunct that is a single-field
-// atom lands in `atoms`, everything else (disjunctions over several
-// fields, multi-field compares, arithmetic the domains cannot track) in
-// `opaque`. Handles compares in both operand orders, ternary-match masks,
-// De Morgan over negated disjunctions, negation chains, and the value-set
-// (any-of-equalities) pattern.
-void decompose_conjunction(ir::ExprRef e, std::vector<Atom>& atoms,
-                           std::vector<ir::ExprRef>& opaque);
-
-// The negated compare atom (operator flipped). Membership atoms have no
-// single-atom negation; callers expand f NOT-IN {s...} into != exclusions
-// themselves. Precondition: a.set.empty().
-Atom negate_atom(const Atom& a);
-
-// Whether concrete value `v` satisfies the (non-membership) atom.
-bool atom_holds(uint64_t v, const Atom& a) noexcept;
 
 // Abstract set of values of one `width`-bit field.
 class ValueRange {
@@ -65,11 +35,11 @@ class ValueRange {
   // Least upper bound; returns true when *this widened.
   bool join(const ValueRange& o);
   // Meet with one atom (greatest lower bound approximation).
-  void refine(const Atom& a);
+  void refine(const smt::Atom& a);
   // Three-valued truth of `a` over every value in this set. Sound in both
   // directions for any over-approximation: kTrue means every concrete
   // value satisfies `a`, kFalse means none does.
-  Ternary eval(const Atom& a) const;
+  Ternary eval(const smt::Atom& a) const;
 
  private:
   static constexpr int kSmallWidth = 6;  // exact bitmap up to 64 values

@@ -1,34 +1,22 @@
 #include "analysis/env.hpp"
 
-#include "util/bits.hpp"
-
 namespace meissa::analysis {
 
 namespace {
 
-void apply_atom(smt::Domain& d, const Atom& a) {
-  if (!a.set.empty()) {
-    d.require_value_set(a.set);
+// Conjoins the negation of `a`; !(f IN S) excludes every member.
+void require_negation(smt::Domain& d, const smt::Atom& a) {
+  if (a.set.empty()) {
+    d.require(smt::negate_atom(a));
     return;
   }
-  switch (a.op) {
-    case ir::CmpOp::kEq: d.require_masked_eq(a.mask, a.value); break;
-    case ir::CmpOp::kNe: d.require_masked_ne(a.mask, a.value); break;
-    case ir::CmpOp::kLt: d.require_lt(a.value); break;
-    case ir::CmpOp::kLe: d.require_le(a.value); break;
-    case ir::CmpOp::kGt: d.require_gt(a.value); break;
-    case ir::CmpOp::kGe: d.require_ge(a.value); break;
+  smt::Atom ne = a;
+  ne.set.clear();
+  ne.op = ir::CmpOp::kNe;
+  for (uint64_t v : a.set) {
+    ne.value = v;
+    d.require(ne);
   }
-}
-
-void apply_negated(smt::Domain& d, const Atom& a) {
-  if (!a.set.empty()) {
-    // !(f IN S): exclude every member.
-    const uint64_t full = util::mask_bits(d.width());
-    for (uint64_t v : a.set) d.require_masked_ne(full, v);
-    return;
-  }
-  apply_atom(d, negate_atom(a));
 }
 
 }  // namespace
@@ -39,16 +27,16 @@ smt::Domain PathEnv::domain_copy(ir::FieldId f, int width) const {
   return smt::Domain(width);
 }
 
-void PathEnv::absorb(const std::vector<Atom>& atoms,
+void PathEnv::absorb(const std::vector<smt::Atom>& atoms,
                      const std::vector<ir::ExprRef>& opaque, bool undoable) {
-  for (const Atom& a : atoms) {
+  for (const smt::Atom& a : atoms) {
     auto [it, fresh] = slots_.try_emplace(a.field, Slot(a.width));
     if (undoable) {
       undo_.push_back(
           Undo{a.field, false, fresh ? std::nullopt
                                      : std::optional<smt::Domain>(it->second.dom)});
     }
-    apply_atom(it->second.dom, a);
+    it->second.dom.require(a);
   }
   for (ir::ExprRef e : opaque) {
     std::unordered_set<ir::FieldId> fields;
@@ -64,45 +52,45 @@ void PathEnv::absorb(const std::vector<Atom>& atoms,
 
 void PathEnv::add_precondition(ir::ExprRef c) {
   if (c == nullptr) return;
-  std::vector<Atom> atoms;
+  std::vector<smt::Atom> atoms;
   std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(c, atoms, opaque);
-  for (const Atom& a : atoms) {
+  smt::decompose_conjunction(c, atoms, opaque);
+  for (const smt::Atom& a : atoms) {
     if (a.field == ir::kInvalidField) {
       base_contradictory_ = true;
       return;
     }
   }
   absorb(atoms, opaque, /*undoable=*/false);
-  for (const Atom& a : atoms) {
+  for (const smt::Atom& a : atoms) {
     if (slots_.at(a.field).dom.contradictory()) base_contradictory_ = true;
   }
 }
 
 Verdict PathEnv::assume(ir::ExprRef c) {
   if (base_contradictory_) return Verdict::kRefuted;
-  std::vector<Atom> atoms;
+  std::vector<smt::Atom> atoms;
   std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(c, atoms, opaque);
-  for (const Atom& a : atoms) {
+  smt::decompose_conjunction(c, atoms, opaque);
+  for (const smt::Atom& a : atoms) {
     if (a.field == ir::kInvalidField) return Verdict::kRefuted;
   }
 
   // Refutation: refine copies of the touched domains by all atoms.
   std::unordered_map<ir::FieldId, smt::Domain> refined;
-  for (const Atom& a : atoms) {
-    auto [it, fresh] = refined.try_emplace(a.field, domain_copy(a.field, a.width));
-    (void)fresh;
-    apply_atom(it->second, a);
-    if (it->second.contradictory()) return Verdict::kRefuted;
+  for (const smt::Atom& a : atoms) {
+    smt::Domain& d =
+        refined.try_emplace(a.field, domain_copy(a.field, a.width)).first->second;
+    d.require(a);
+    if (d.contradictory()) return Verdict::kRefuted;
   }
 
   Verdict v = Verdict::kUnknown;
   if (opaque.empty() && !atoms.empty()) {
     bool all_implied = true;
-    for (const Atom& a : atoms) {
+    for (const smt::Atom& a : atoms) {
       smt::Domain neg = domain_copy(a.field, a.width);
-      apply_negated(neg, a);
+      require_negation(neg, a);
       if (!neg.contradictory()) {
         all_implied = false;
         break;

@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/domain.hpp"
 #include "ir/stmt.hpp"
 #include "smt/domain.hpp"
 
@@ -63,7 +62,7 @@ class PathEnv {
   };
 
   smt::Domain domain_copy(ir::FieldId f, int width) const;
-  void absorb(const std::vector<Atom>& atoms,
+  void absorb(const std::vector<smt::Atom>& atoms,
               const std::vector<ir::ExprRef>& opaque, bool undoable);
 
   const ir::Context& ctx_;

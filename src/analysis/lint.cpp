@@ -57,12 +57,12 @@ bool is_benign_invalid_arm(const cfg::Cfg& g, cfg::NodeId id,
                            const std::unordered_set<ir::FieldId>& vfields) {
   const cfg::Node& n = g.node(id);
   if (n.is_hash || n.stmt.kind != ir::StmtKind::kAssume) return false;
-  std::vector<Atom> atoms;
+  std::vector<smt::Atom> atoms;
   std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(n.stmt.expr, atoms, opaque);
+  smt::decompose_conjunction(n.stmt.expr, atoms, opaque);
   if (!opaque.empty() || atoms.empty()) return false;
-  for (const Atom& a : atoms) {
-    if (vfields.count(a.field) == 0 || atom_holds(1, a)) return false;
+  for (const smt::Atom& a : atoms) {
+    if (vfields.count(a.field) == 0 || smt::atom_holds(1, a)) return false;
   }
   return true;
 }

@@ -8,9 +8,7 @@
 
 namespace meissa::smt {
 
-using ir::ExprKind;
-
-BvSolver::BvSolver(ir::Context& ctx) : ctx_(ctx), blaster_(sat_) {
+BvSolver::BvSolver(ir::Context& /*ctx*/) : blaster_(sat_) {
   scopes_.emplace_back();  // base scope
 }
 
@@ -41,127 +39,16 @@ void BvSolver::add(ir::ExprRef bexp) {
   scopes_.back().asserts.push_back(bexp);
 }
 
-bool BvSolver::as_value_set(ir::ExprRef e, ir::FieldId& field, int& width,
-                            std::vector<uint64_t>& values) {
-  switch (e->kind) {
-    case ExprKind::kBool:
-      if (e->bool_op() != ir::BoolOp::kOr) return false;
-      return as_value_set(e->lhs, field, width, values) &&
-             as_value_set(e->rhs, field, width, values);
-    case ExprKind::kCmp: {
-      if (e->cmp_op() != ir::CmpOp::kEq ||
-          e->lhs->kind != ExprKind::kField ||
-          e->rhs->kind != ExprKind::kConst) {
-        return false;
-      }
-      if (field == ir::kInvalidField) {
-        field = e->lhs->field;
-        width = e->lhs->width;
-      } else if (field != e->lhs->field) {
-        return false;  // mixed fields: not a single-field set
-      }
-      values.push_back(e->rhs->value);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-bool BvSolver::decompose(ir::ExprRef e, std::vector<Atom>& atoms) const {
-  switch (e->kind) {
-    case ExprKind::kBoolConst:
-      if (e->is_true()) return true;
-      // `false` as an atom: an unsatisfiable constraint on a dummy field.
-      atoms.push_back({ir::kInvalidField, 1, ir::CmpOp::kEq, 0, 0, {}});
-      return true;
-    case ExprKind::kBool:
-      if (e->bool_op() == ir::BoolOp::kAnd) {
-        bool a = decompose(e->lhs, atoms);
-        bool b = decompose(e->rhs, atoms);
-        return a && b;
-      }
-      {
-        // Same-field value-set disjunction (the merged per-packet-type
-        // pre-condition shape, paper §7).
-        ir::FieldId f = ir::kInvalidField;
-        int w = 0;
-        std::vector<uint64_t> values;
-        if (as_value_set(e, f, w, values)) {
-          Atom a{f, w, ir::CmpOp::kEq, 0, 0, std::move(values)};
-          atoms.push_back(std::move(a));
-          return true;
-        }
-      }
-      return false;  // general disjunction: not a conjunction of atoms
-    case ExprKind::kCmp: {
-      ir::ExprRef lhs = e->lhs;
-      ir::ExprRef rhs = e->rhs;
-      if (rhs->kind != ExprKind::kConst) return false;
-      uint64_t mask = util::mask_bits(lhs->width == 0 ? 1 : lhs->width);
-      ir::ExprRef base = lhs;
-      if (lhs->kind == ExprKind::kArith &&
-          lhs->arith_op() == ir::ArithOp::kAnd &&
-          lhs->rhs->kind == ExprKind::kConst) {
-        // Masked comparisons are only decidable by the Domain for ==/!=.
-        if (e->cmp_op() != ir::CmpOp::kEq && e->cmp_op() != ir::CmpOp::kNe) {
-          return false;
-        }
-        mask = lhs->rhs->value;
-        base = lhs->lhs;
-      }
-      if (base->kind != ExprKind::kField) return false;
-      atoms.push_back(
-          {base->field, base->width, e->cmp_op(), mask, rhs->value, {}});
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
 CheckResult BvSolver::try_fast_path() {
   std::vector<Atom> atoms;
-  bool complete = true;
+  std::vector<ir::ExprRef> opaque;
   for (const Scope& s : scopes_) {
-    for (ir::ExprRef a : s.asserts) {
-      if (!decompose(a, atoms)) complete = false;
-    }
+    for (ir::ExprRef a : s.asserts) decompose_conjunction(a, atoms, opaque);
   }
-  const uint64_t full = ~uint64_t{0};
   std::unordered_map<ir::FieldId, Domain> domains;
   for (const Atom& at : atoms) {
     if (at.field == ir::kInvalidField) return CheckResult::kUnsat;
-    auto [it, fresh] = domains.try_emplace(at.field, Domain(at.width));
-    (void)fresh;
-    Domain& d = it->second;
-    if (!at.set.empty()) {
-      d.require_value_set(at.set);
-      continue;
-    }
-    const bool exact = util::truncate(at.mask, at.width) ==
-                       util::mask_bits(at.width);
-    switch (at.op) {
-      case ir::CmpOp::kEq: d.require_masked_eq(at.mask, at.value); break;
-      case ir::CmpOp::kNe: d.require_masked_ne(at.mask, at.value); break;
-      case ir::CmpOp::kLt:
-        if (!exact) return CheckResult::kUnknown;
-        d.require_lt(at.value);
-        break;
-      case ir::CmpOp::kLe:
-        if (!exact) return CheckResult::kUnknown;
-        d.require_le(at.value);
-        break;
-      case ir::CmpOp::kGt:
-        if (!exact) return CheckResult::kUnknown;
-        d.require_gt(at.value);
-        break;
-      case ir::CmpOp::kGe:
-        if (!exact) return CheckResult::kUnknown;
-        d.require_ge(at.value);
-        break;
-    }
-    (void)full;
+    domains.try_emplace(at.field, at.width).first->second.require(at);
   }
   Model candidate;
   for (auto& [fid, d] : domains) {
@@ -171,7 +58,7 @@ CheckResult BvSolver::try_fast_path() {
     if (!v) return CheckResult::kUnsat;  // sound even for partial decompose
     candidate.emplace(fid, *v);
   }
-  if (!complete) return CheckResult::kUnknown;
+  if (!opaque.empty()) return CheckResult::kUnknown;
   model_ = std::move(candidate);
   model_from_fast_path_ = true;
   return CheckResult::kSat;

@@ -14,6 +14,7 @@ namespace meissa::smt {
 
 class BvSolver final : public Solver {
  public:
+  // `ctx` is unused: expressions carry their own field ids and widths.
   explicit BvSolver(ir::Context& ctx);
 
   void push() override;
@@ -43,28 +44,10 @@ class BvSolver final : public Solver {
   uint64_t portfolio_sat_wins() const;
 
  private:
-  // One decomposed per-field atom: (field & mask) op constant (mask is
-  // all-ones for pure comparisons), or — when `set` is non-empty — a
-  // same-field value-set disjunction (f == v1 || f == v2 || ...).
-  struct Atom {
-    ir::FieldId field;
-    int width;
-    ir::CmpOp op;
-    uint64_t mask;
-    uint64_t value;
-    std::vector<uint64_t> set;
-  };
-
-  // Recognizes Or-trees whose leaves are `field == const` on one field.
-  static bool as_value_set(ir::ExprRef e, ir::FieldId& field, int& width,
-                           std::vector<uint64_t>& values);
-
-  // Walks the conjunction structure of `e`, extracting single-field atoms.
-  // Returns false when parts of `e` do not fit the atom shape (the
-  // extracted atoms are still sound conjuncts).
-  bool decompose(ir::ExprRef e, std::vector<Atom>& atoms) const;
-
-  // Attempts the pure-domain decision procedure.
+  // Attempts the pure-domain decision procedure: every scope's asserts
+  // decomposed into single-field atoms, each required into its field's
+  // Domain. kUnknown when a conjunct was opaque or a witness search ran
+  // out of attempts, unless some domain came up empty.
   CheckResult try_fast_path();
 
   // Bandit decision: should this check attempt the fast path first?
@@ -84,7 +67,6 @@ class BvSolver final : public Solver {
     bool has_selector = false;
   };
 
-  ir::Context& ctx_;
   SatSolver sat_;
   BitBlaster blaster_;
   std::vector<Scope> scopes_;

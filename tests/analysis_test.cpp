@@ -1,8 +1,7 @@
-// Tests for the static-analysis subsystem: atom decomposition, abstract
-// value ranges, the forward dataflow solver (including the validity-combo
-// refinement), path environments, engine-facing facts (streaming and
-// region-bounded, against a fixpoint oracle), and the lint
-// detectors over the seeded-bug corpus.
+// Tests for the static-analysis subsystem: abstract value ranges, the
+// forward dataflow solver (including the validity-combo refinement), path
+// environments, engine-facing facts (streaming and region-bounded, against
+// a fixpoint oracle), and the lint detectors over the seeded-bug corpus.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -19,8 +18,8 @@
 namespace meissa::analysis {
 namespace {
 
-Atom cmp_atom(ir::FieldId f, int width, ir::CmpOp op, uint64_t value) {
-  Atom a;
+smt::Atom cmp_atom(ir::FieldId f, int width, ir::CmpOp op, uint64_t value) {
+  smt::Atom a;
   a.field = f;
   a.width = width;
   a.op = op;
@@ -122,7 +121,7 @@ TEST(ValueRange, FullWidthMaskIsPlainCompare) {
   // refining with it pins the value; a conflicting full-mask refine
   // empties the range.
   ir::FieldId f = 0;
-  Atom a = cmp_atom(f, 32, ir::CmpOp::kEq, 0xdeadbeef);
+  smt::Atom a = cmp_atom(f, 32, ir::CmpOp::kEq, 0xdeadbeef);
   EXPECT_TRUE(a.is_exact_mask());
   ValueRange r(32);
   EXPECT_TRUE(r.is_top());
@@ -192,89 +191,6 @@ TEST(ValueRange, SmallWidthBoundaryIsSixBits) {
   EXPECT_TRUE(seven.join(ValueRange::constant(126, 7)));
   EXPECT_EQ(seven.eval(cmp_atom(f, 7, ir::CmpOp::kEq, 30)),
             Ternary::kUnknown);
-}
-
-TEST(Decompose, ConjunctionOfSingleFieldCompares) {
-  ir::Context ctx;
-  ir::FieldId a = ctx.fields.intern("a", 8);
-  ir::FieldId b = ctx.fields.intern("b", 8);
-  ir::ExprRef e = ctx.arena.band(
-      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
-      ctx.arena.cmp(ir::CmpOp::kLt, ctx.var(b), ctx.arena.constant(7, 8)));
-  std::vector<Atom> atoms;
-  std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(e, atoms, opaque);
-  ASSERT_EQ(atoms.size(), 2u);
-  EXPECT_TRUE(opaque.empty());
-  EXPECT_EQ(atoms[0].field, a);
-  EXPECT_EQ(atoms[1].field, b);
-}
-
-TEST(Decompose, DeMorganOverNegatedDisjunction) {
-  ir::Context ctx;
-  ir::FieldId a = ctx.fields.intern("a", 8);
-  ir::FieldId b = ctx.fields.intern("b", 8);
-  ir::ExprRef e = ctx.arena.bnot(ctx.arena.bor(
-      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
-      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(b), ctx.arena.constant(4, 8))));
-  std::vector<Atom> atoms;
-  std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(e, atoms, opaque);
-  ASSERT_EQ(atoms.size(), 2u);
-  EXPECT_TRUE(opaque.empty());
-  EXPECT_FALSE(atom_holds(3, atoms[0]));
-  EXPECT_TRUE(atom_holds(5, atoms[0]));
-}
-
-TEST(Decompose, ValueSetPattern) {
-  ir::Context ctx;
-  ir::FieldId a = ctx.fields.intern("a", 8);
-  auto eq = [&](uint64_t v) {
-    return ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(v, 8));
-  };
-  ir::ExprRef e = ctx.arena.bor(ctx.arena.bor(eq(1), eq(2)), eq(3));
-  std::vector<Atom> atoms;
-  std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(e, atoms, opaque);
-  ASSERT_EQ(atoms.size(), 1u);
-  EXPECT_TRUE(opaque.empty());
-  EXPECT_EQ(atoms[0].set.size(), 3u);
-}
-
-TEST(Decompose, CrossFieldDisjunctionStaysOpaque) {
-  ir::Context ctx;
-  ir::FieldId a = ctx.fields.intern("a", 8);
-  ir::FieldId b = ctx.fields.intern("b", 8);
-  ir::ExprRef e = ctx.arena.bor(
-      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
-      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(b), ctx.arena.constant(4, 8)));
-  std::vector<Atom> atoms;
-  std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(e, atoms, opaque);
-  EXPECT_TRUE(atoms.empty());
-  ASSERT_EQ(opaque.size(), 1u);
-}
-
-TEST(Decompose, OutOfMaskEqualityIsAlwaysFalse) {
-  // (f & 0x3a) == 0x2f can never hold (0x2f has bits outside the mask).
-  // The canonicalized atom must be unsatisfiable and its negation a
-  // tautology — getting this wrong once broke solver equivalence.
-  ir::Context ctx;
-  ir::FieldId f = ctx.fields.intern("f", 8);
-  ir::ExprRef e = ctx.arena.cmp(
-      ir::CmpOp::kEq,
-      ctx.arena.arith(ir::ArithOp::kAnd, ctx.var(f),
-                      ctx.arena.constant(0x3a, 8)),
-      ctx.arena.constant(0x2f, 8));
-  std::vector<Atom> atoms;
-  std::vector<ir::ExprRef> opaque;
-  decompose_conjunction(e, atoms, opaque);
-  ASSERT_EQ(atoms.size(), 1u);
-  EXPECT_TRUE(opaque.empty());
-  for (uint64_t v : {0ull, 0x2aull, 0x2full, 0xffull}) {
-    EXPECT_FALSE(atom_holds(v, atoms[0])) << v;
-    EXPECT_TRUE(atom_holds(v, negate_atom(atoms[0]))) << v;
-  }
 }
 
 // ---------------------------------------------------------------- dataflow

@@ -1,11 +1,14 @@
-// Tests for the SMT layer: the SAT core, the domain fast path, the
-// bit-blaster, incremental push/pop, and cross-checks against brute force
-// and (when available) Z3.
+// Tests for the SMT layer: the SAT core, single-field atom decomposition,
+// the domain fast path, the bit-blaster, incremental push/pop, and
+// cross-checks against brute force and (when available) Z3.
 #include <gtest/gtest.h>
 
+#include <bitset>
 #include <memory>
 
+#include "analysis/env.hpp"
 #include "smt/bv_solver.hpp"
+#include "smt/domain.hpp"
 #include "smt/sat.hpp"
 #include "smt/solver.hpp"
 #include "util/rng.hpp"
@@ -98,6 +101,91 @@ TEST(SatSolver, RandomThreeSatAgreesWithBruteForce) {
       if (all) brute = true;
     }
     EXPECT_EQ(s.solve({}), brute) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------- Atom decomposition
+
+TEST(Decompose, ConjunctionOfSingleFieldCompares) {
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId b = ctx.fields.intern("b", 8);
+  ir::ExprRef e = ctx.arena.band(
+      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
+      ctx.arena.cmp(ir::CmpOp::kLt, ctx.var(b), ctx.arena.constant(7, 8)));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_TRUE(opaque.empty());
+  EXPECT_EQ(atoms[0].field, a);
+  EXPECT_EQ(atoms[1].field, b);
+}
+
+TEST(Decompose, DeMorganOverNegatedDisjunction) {
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId b = ctx.fields.intern("b", 8);
+  ir::ExprRef e = ctx.arena.bnot(ctx.arena.bor(
+      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
+      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(b), ctx.arena.constant(4, 8))));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 2u);
+  EXPECT_TRUE(opaque.empty());
+  EXPECT_FALSE(atom_holds(3, atoms[0]));
+  EXPECT_TRUE(atom_holds(5, atoms[0]));
+}
+
+TEST(Decompose, ValueSetPattern) {
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  auto eq = [&](uint64_t v) {
+    return ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(v, 8));
+  };
+  ir::ExprRef e = ctx.arena.bor(ctx.arena.bor(eq(1), eq(2)), eq(3));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 1u);
+  EXPECT_TRUE(opaque.empty());
+  EXPECT_EQ(atoms[0].set.size(), 3u);
+}
+
+TEST(Decompose, CrossFieldDisjunctionStaysOpaque) {
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId b = ctx.fields.intern("b", 8);
+  ir::ExprRef e = ctx.arena.bor(
+      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(3, 8)),
+      ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(b), ctx.arena.constant(4, 8)));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  EXPECT_TRUE(atoms.empty());
+  ASSERT_EQ(opaque.size(), 1u);
+}
+
+TEST(Decompose, OutOfMaskEqualityIsAlwaysFalse) {
+  // (f & 0x3a) == 0x2f can never hold (0x2f has bits outside the mask).
+  // The canonicalized atom must be unsatisfiable and its negation a
+  // tautology — getting this wrong once broke solver equivalence.
+  ir::Context ctx;
+  ir::FieldId f = ctx.fields.intern("f", 8);
+  ir::ExprRef e = ctx.arena.cmp(
+      ir::CmpOp::kEq,
+      ctx.arena.arith(ir::ArithOp::kAnd, ctx.var(f),
+                      ctx.arena.constant(0x3a, 8)),
+      ctx.arena.constant(0x2f, 8));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 1u);
+  EXPECT_TRUE(opaque.empty());
+  for (uint64_t v : {0ull, 0x2aull, 0x2full, 0xffull}) {
+    EXPECT_FALSE(atom_holds(v, atoms[0])) << v;
+    EXPECT_TRUE(atom_holds(v, negate_atom(atoms[0]))) << v;
   }
 }
 
@@ -291,65 +379,161 @@ TEST_F(BvSolverTest, DeepPushPopNesting) {
 
 // Property test: random conjunctions over two 6-bit fields, compared with
 // exhaustive enumeration. Exercises fast path and SAT core both.
+// A random conjunct over two 6-bit fields x and y: a plain, masked or
+// cross-field compare, or a same-field value-set disjunction
+// (x == a || x == b || ...), each negated one time in four. Half the
+// constants come from [0, 8) so that bounds, equalities and set members
+// meet at their edges.
+ExprRef random_conjunct(ir::Context& ctx, util::Rng& rng, ExprRef x,
+                        ExprRef y) {
+  auto constant = [&]() {
+    return ctx.arena.constant(rng.chance(1, 2) ? rng.below(8) : rng.bits(6),
+                              6);
+  };
+  ExprRef atom = nullptr;
+  if (rng.chance(1, 5)) {
+    ExprRef f = rng.chance(1, 2) ? x : y;
+    const int members = static_cast<int>(rng.range(2, 4));
+    for (int i = 0; i < members; ++i) {
+      ExprRef eq = ctx.arena.cmp(CmpOp::kEq, f, constant());
+      atom = atom == nullptr ? eq : ctx.arena.bor(atom, eq);
+    }
+  } else {
+    ExprRef lhs;
+    switch (rng.below(4)) {
+      case 0: lhs = x; break;
+      case 1: lhs = y; break;
+      case 2:
+        lhs = ctx.arena.arith(ArithOp::kAdd, x, y);
+        break;
+      default:
+        lhs = ctx.arena.arith(ArithOp::kAnd, x, constant());
+        break;
+    }
+    CmpOp op = static_cast<CmpOp>(rng.below(6));
+    atom = ctx.arena.cmp(op, lhs, constant());
+  }
+  if (rng.chance(1, 4)) atom = ctx.arena.bnot(atom);
+  return atom;
+}
+
+// The assignments (bit 64 * x + y) of two 6-bit fields satisfying `e`.
+using Models = std::bitset<4096>;
+
+Models models_of(ExprRef e, ir::FieldId fx) {
+  Models m;
+  for (uint64_t vx = 0; vx < 64; ++vx) {
+    for (uint64_t vy = 0; vy < 64; ++vy) {
+      auto v = ir::eval_with(e, [&](ir::FieldId f) {
+        return std::optional<uint64_t>(f == fx ? vx : vy);
+      });
+      if (v && *v) m.set(vx * 64 + vy);
+    }
+  }
+  return m;
+}
+
+// Checks the decomposition of `c` against its models: the atoms are sound
+// conjuncts, they are exact when nothing was opaque, and each compare
+// atom's negation holds exactly where the atom does not.
+void expect_decomposition_exact(ExprRef c, const Models& models,
+                                ir::FieldId fx) {
+  std::vector<Atom> atoms;
+  std::vector<ExprRef> opaque;
+  decompose_conjunction(c, atoms, opaque);
+  for (uint64_t vx = 0; vx < 64; ++vx) {
+    for (uint64_t vy = 0; vy < 64; ++vy) {
+      bool all = true;
+      for (const Atom& a : atoms) {
+        if (a.field == ir::kInvalidField) {
+          all = false;
+          continue;
+        }
+        const uint64_t v = a.field == fx ? vx : vy;
+        const bool holds = atom_holds(v, a);
+        all = all && holds;
+        if (a.set.empty()) {
+          ASSERT_NE(atom_holds(v, negate_atom(a)), holds);
+        }
+      }
+      const bool model = models.test(vx * 64 + vy);
+      ASSERT_TRUE(all || !model) << "an atom excludes a model";
+      ASSERT_TRUE(all == model || !opaque.empty()) << "atoms are not exact";
+    }
+  }
+}
+
+// Random push / add / pop sequences against brute force over the live
+// scopes. After every check the BvSolver's verdict (and model) must match,
+// and a PathEnv fed the same sequence — mark/rollback mirroring push/pop —
+// must classify the new conjunct c soundly against the live conjunction C:
+// kRefuted => C && c unsat; kImplied => every model of C satisfies c (so
+// sat(C && c) == sat(C)); kSatisfiable => sat(C) implies sat(C && c).
+// Both consume the one smt::decompose_conjunction + Domain::require atom
+// language, whose decomposition of every c is checked against its models.
 TEST(BvSolverProperty, AgreesWithBruteForceOnRandomConjunctions) {
   util::Rng rng(1234);
-  for (int round = 0; round < 120; ++round) {
+  for (int round = 0; round < 200; ++round) {
     ir::Context ctx;
     BvSolver solver(ctx);
+    analysis::PathEnv env(ctx);
     ExprRef x = ctx.field_var("x", 6);
     ExprRef y = ctx.field_var("y", 6);
-    std::vector<ExprRef> conjuncts;
-    const int n = static_cast<int>(rng.range(1, 5));
-    for (int i = 0; i < n; ++i) {
-      ExprRef lhs;
-      switch (rng.below(4)) {
-        case 0: lhs = x; break;
-        case 1: lhs = y; break;
-        case 2:
-          lhs = ctx.arena.arith(ArithOp::kAdd, x, y);
-          break;
-        default:
-          lhs = ctx.arena.arith(ArithOp::kAnd, x,
-                                ctx.arena.constant(rng.bits(6), 6));
-          break;
-      }
-      CmpOp op = static_cast<CmpOp>(rng.below(6));
-      ExprRef atom = ctx.arena.cmp(op, lhs, ctx.arena.constant(rng.bits(6), 6));
-      if (rng.chance(1, 4)) atom = ctx.arena.bnot(atom);
-      conjuncts.push_back(atom);
-      solver.add(atom);
-    }
-    bool brute = false;
-    for (uint64_t vx = 0; vx < 64 && !brute; ++vx) {
-      for (uint64_t vy = 0; vy < 64 && !brute; ++vy) {
-        ir::ConcreteState s{{ctx.fields.require("x"), vx},
-                            {ctx.fields.require("y"), vy}};
-        bool all = true;
-        for (ExprRef e : conjuncts) {
-          auto v = ir::eval(e, s);
-          if (!v || !*v) {
-            all = false;
-            break;
-          }
+    std::vector<Models> live{Models().set()};  // per scope, cumulative
+    std::vector<analysis::PathEnv::Mark> marks;
+    // Even rounds stay flat (one scope); odd rounds push and pop.
+    const bool scoped = round % 2 == 1;
+    const int steps = static_cast<int>(rng.range(1, scoped ? 14 : 5));
+    for (int step = 0; step < steps; ++step) {
+      SCOPED_TRACE(testing::Message()
+                   << "round " << round << " step " << step);
+      if (scoped && !marks.empty() && rng.chance(1, 3)) {
+        solver.pop();
+        env.rollback(marks.back());
+        marks.pop_back();
+        live.pop_back();
+      } else {
+        if (scoped && rng.chance(1, 2)) {
+          solver.push();
+          marks.push_back(env.mark());
+          live.push_back(live.back());
         }
-        if (all) brute = true;
+        ExprRef c = random_conjunct(ctx, rng, x, y);
+        const Models before = live.back();
+        const analysis::Verdict v = env.assume(c);
+        solver.add(c);
+        const Models models = models_of(c, x->field);
+        expect_decomposition_exact(c, models, x->field);
+        live.back() &= models;
+        const bool sat_before = before.any();
+        const bool sat_after = live.back().any();
+        switch (v) {
+          case analysis::Verdict::kRefuted: EXPECT_FALSE(sat_after); break;
+          case analysis::Verdict::kImplied:
+            EXPECT_EQ(live.back(), before);
+            break;
+          case analysis::Verdict::kSatisfiable:
+            EXPECT_TRUE(!sat_before || sat_after);
+            break;
+          case analysis::Verdict::kUnknown: break;
+        }
       }
-    }
-    CheckResult r = solver.check();
-    ASSERT_NE(r, CheckResult::kUnknown);
-    EXPECT_EQ(r == CheckResult::kSat, brute) << "round " << round;
-    if (r == CheckResult::kSat) {
-      // The model must actually satisfy the conjunction.
-      Model m = solver.model();
-      ir::ConcreteState s;
-      for (auto& [f, v] : m) s[f] = v;
-      // Unconstrained fields default to zero.
-      s.try_emplace(ctx.fields.require("x"), 0);
-      s.try_emplace(ctx.fields.require("y"), 0);
-      for (ExprRef e : conjuncts) {
-        auto v = ir::eval(e, s);
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, 1u) << "model violates conjunct in round " << round;
+      // Check after a random subset of steps, and always after the last,
+      // so some checks see several unchecked adds or pops at once.
+      if (step + 1 < steps && rng.chance(1, 2)) continue;
+      CheckResult r = solver.check();
+      ASSERT_NE(r, CheckResult::kUnknown);
+      ASSERT_EQ(r == CheckResult::kSat, live.back().any());
+      if (r == CheckResult::kSat) {
+        // The model must satisfy the live conjunction; fields it leaves
+        // unconstrained default to zero.
+        Model m = solver.model();
+        auto value = [&](ExprRef f) {
+          auto it = m.find(f->field);
+          return it == m.end() ? uint64_t{0} : it->second;
+        };
+        EXPECT_TRUE(live.back().test(value(x) * 64 + value(y)))
+            << "model violates the live conjunction";
       }
     }
   }
