@@ -53,7 +53,7 @@ namespace {
 struct WalkPath {
   std::vector<cfg::NodeId> nodes;  // entry .. exit, inclusive
   std::vector<ir::ExprRef> conds;
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;
+  sym::Values values;
   bool tainted = false;  // a budget-exhausted check lies on the prefix
 };
 
@@ -63,7 +63,7 @@ struct Branch {
   cfg::NodeId head = cfg::kNoNode;
   cfg::NodeId guard_node = cfg::kNoNode;
   ir::ExprRef guard = nullptr;
-  std::unordered_map<ir::FieldId, ir::ExprRef> effects;
+  sym::Values effects;  // FieldId-sorted, like WalkPath::values
   std::string structure_error;
 };
 
@@ -430,8 +430,9 @@ class PipelineValidator {
         b.structure_error = "branch chain has no guard node";
       }
       for (const auto& [f, v] : bind) {
-        if (!non_effect.count(f)) b.effects.emplace(f, v);
+        if (!non_effect.count(f)) b.effects.emplace_back(f, v);
       }
+      std::sort(b.effects.begin(), b.effects.end());
       out.push_back(std::move(b));
     }
     return out;
@@ -577,36 +578,23 @@ class PipelineValidator {
     record(std::move(cover));
     record(std::move(precision));
 
-    // Effects: final field values must agree under the shared condition.
-    std::vector<ir::FieldId> fields;
-    auto changed = [&](ir::FieldId f, ir::ExprRef v) {
-      return v != entry_value(f);
-    };
-    for (const auto& [f, v] : p.values) {
-      if (changed(f, v)) fields.push_back(f);
-    }
-    for (const auto& [f, v] : b.effects) {
-      if (changed(f, v) && !p.values.count(f)) fields.push_back(f);
-    }
-    std::sort(fields.begin(), fields.end(),
-              [&](ir::FieldId a, ir::FieldId c) {
-                return ctx_.fields.name(a) < ctx_.fields.name(c);
-              });
-    for (ir::FieldId f : fields) {
-      auto wv_it = p.values.find(f);
-      const ir::ExprRef wv =
-          wv_it != p.values.end() ? wv_it->second : entry_value(f);
-      auto bv_it = b.effects.find(f);
-      const ir::ExprRef bv =
-          bv_it != b.effects.end() ? bv_it->second : entry_value(f);
-      if (wv == bv) continue;  // structurally identical effect
+    // Effects: final field values must agree under the shared condition (a
+    // side that leaves a field unassigned keeps its entry value there).
+    std::vector<std::tuple<std::string, ir::ExprRef, ir::ExprRef>> diffs;
+    sym::merge_values(
+        p.values, b.effects, [&](ir::FieldId f) { return entry_value(f); },
+        [&](ir::FieldId f, ir::ExprRef wv, ir::ExprRef bv, bool) {
+          if (wv != bv) diffs.emplace_back(ctx_.fields.name(f), wv, bv);
+        });
+    std::sort(diffs.begin(), diffs.end());  // names are unique
+    for (const auto& [field, wv, bv] : diffs) {
       Obligation o;
       o.kind = ObligationKind::kEffect;
       o.pipeline = info_.name;
       o.orig_from = tail;
       o.orig_node = p.nodes.back();
       o.summary_node = b.guard_node;
-      o.field = ctx_.fields.name(f);
+      o.field = field;
       if (wv->width != bv->width) {
         o.verdict = ObligationVerdict::kRefuted;
         o.detail = "summarized effect has a different width than the "

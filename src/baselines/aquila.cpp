@@ -11,9 +11,8 @@ namespace {
 
 // Rewrites an intent expectation into path terms: "in.X" becomes the input
 // symbol X, "out.X" becomes the path's final symbolic value of X.
-ir::ExprRef expectation_to_path_terms(
-    ir::ExprRef e, ir::Context& ctx,
-    const std::unordered_map<ir::FieldId, ir::ExprRef>& final_values) {
+ir::ExprRef expectation_to_path_terms(ir::ExprRef e, ir::Context& ctx,
+                                      const sym::Values& final_values) {
   ir::SubstMemo memo;
   return ir::substitute(
       e, ctx.arena,
@@ -23,8 +22,8 @@ ir::ExprRef expectation_to_path_terms(
           std::string raw(raw_name);
           if (raw == "$port") raw = std::string(p4::kEgressSpec);
           ir::FieldId rf = ctx.fields.intern(raw, w);
-          auto it = final_values.find(rf);
-          return it != final_values.end() ? it->second : ctx.var(rf);
+          ir::ExprRef v = sym::find_value(final_values, rf);
+          return v != nullptr ? v : ctx.var(rf);
         };
         if (util::starts_with(name, "in.")) {
           std::string raw(name.substr(3));
@@ -160,9 +159,8 @@ BaselineResult run_aquila(ir::Context& ctx, const p4::DataPlane& dp,
             const cfg::InstanceInfo& inst =
                 g.instances()[static_cast<size_t>(pr.emit_instance)];
             ir::FieldId vf = inst.validity.at(e.header);
-            auto it = pr.values.find(vf);
-            bool valid = it != pr.values.end() && it->second->is_const() &&
-                         it->second->value == 1;
+            ir::ExprRef v = sym::find_value(pr.values, vf);
+            bool valid = v != nullptr && v->is_const() && v->value == 1;
             // A header reaches the wire only if valid AND emitted by the
             // deparser (catches wrong-deparser-emit code bugs, Table 2 #5).
             bool emitted = false;

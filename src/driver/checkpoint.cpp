@@ -201,16 +201,10 @@ void put_path_result(ByteWriter& w, const ir::Context& ctx,
   for (cfg::NodeId n : pr.path) w.u32(n);
   w.u64(pr.conds.size());
   for (ir::ExprRef c : pr.conds) put_expr(w, ctx.fields, c);
-  // The value map sorted by field *name*: FieldId order is interning order,
+  // The values in field *name* order: FieldId order is interning order,
   // which differs between the writing and the reading process.
-  std::vector<std::pair<ir::FieldId, ir::ExprRef>> vals(pr.values.begin(),
-                                                        pr.values.end());
-  std::sort(vals.begin(), vals.end(),
-            [&](const auto& a, const auto& b) {
-              return ctx.fields.name(a.first) < ctx.fields.name(b.first);
-            });
-  w.u64(vals.size());
-  for (const auto& [f, e] : vals) {
+  w.u64(pr.values.size());
+  for (const auto& [f, e] : sym::by_name(pr.values, ctx.fields)) {
     w.str(ctx.fields.name(f));
     w.i32(ctx.fields.width(f));
     put_expr(w, ctx.fields, e);
@@ -235,13 +229,18 @@ sym::PathResult get_path_result(ByteReader& r, ir::Context& ctx) {
   for (cfg::NodeId& n : pr.path) n = r.u32();
   pr.conds.resize(r.count());
   for (ir::ExprRef& c : pr.conds) c = get_expr(r, ctx);
-  uint64_t nvals = r.count();
-  for (uint64_t i = 0; i < nvals; ++i) {
+  // Written in strictly increasing name order; read into FieldId order.
+  pr.values.resize(r.count());
+  std::string last;
+  for (size_t i = 0; i < pr.values.size(); ++i) {
     std::string name = r.str();
-    int width = r.i32();
-    ir::FieldId f = ctx.fields.intern(name, width);
-    pr.values[f] = get_expr(r, ctx);
+    if (i > 0 && name <= last) {
+      throw util::ValidationError("checkpoint: repeated or unsorted value name");
+    }
+    pr.values[i] = {ctx.fields.intern(name, r.i32()), get_expr(r, ctx)};
+    last = std::move(name);
   }
+  std::sort(pr.values.begin(), pr.values.end());
   pr.obligations.resize(r.count());
   for (sym::HashObligation& o : pr.obligations) {
     std::string name = r.str();

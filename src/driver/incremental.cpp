@@ -38,16 +38,9 @@ std::string IncrementalSession::coverage_signature(
   if (t.path_condition != nullptr) {
     s += ir::to_string(t.path_condition, ctx.fields);
   }
-  std::vector<std::pair<std::string, ir::ExprRef>> values;
-  values.reserve(t.final_values.size());
-  for (const auto& [f, v] : t.final_values) {
-    values.emplace_back(ctx.fields.name(f), v);
-  }
-  std::sort(values.begin(), values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [name, v] : values) {
+  for (const auto& [f, v] : sym::by_name(t.values, ctx.fields)) {
     s += '|';
-    s += name;
+    s += ctx.fields.name(f);
     s += '=';
     s += ir::to_string(v, ctx.fields);
   }

@@ -89,16 +89,14 @@ std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
   // Each round loads its model into `state_` over zeros for every other
   // field: hash keys evaluate there, and the accepted round's state is the
   // input the path is replayed from.
-  std::vector<ir::ExprRef> extra;
+  // The path condition, then the placeholder pins of the last repair round.
+  std::vector<ir::ExprRef> conds = t.conds;
   std::optional<smt::Model> model;
   {
     obs::Span span("solve", "sender");
     span.arg("template", t.id);
     for (int round = 0; round <= kMaxHashRepairRounds; ++round) {
-      sym::PathResult pr;
-      pr.conds = t.conds;
-      for (ir::ExprRef e : extra) pr.conds.push_back(e);
-      model = engine.solve_for_model(pr);
+      model = engine.solve_for_model(conds);
       if (!model) {
         ++removed_by_hash_;
         return std::nullopt;  // over-constrained by repair: remove (§4)
@@ -107,7 +105,7 @@ std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
       state_.reset(nfields, nfields);
       state_.load(*model);
       bool consistent = true;
-      extra.clear();
+      conds.resize(t.conds.size());
       for (const sym::HashObligation& o : t.obligations) {
         std::vector<uint64_t> kv;
         std::vector<int> kw;
@@ -126,7 +124,7 @@ std::optional<TestCase> Sender::concretize(const sym::TestCaseTemplate& t,
         if (got == model->end() || got->second != want) {
           consistent = false;
         }
-        extra.push_back(ctx_.arena.cmp(ir::CmpOp::kEq,
+        conds.push_back(ctx_.arena.cmp(ir::CmpOp::kEq,
                                        ctx_.arena.field(o.placeholder, w),
                                        ctx_.arena.constant(want, w)));
       }

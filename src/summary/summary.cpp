@@ -43,7 +43,7 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
   PreCondition pc;
   std::vector<ir::ExprRef> cond_order;  // first path's conds, in path order
   std::unordered_set<ir::ExprRef> conds;
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;  // agreeing values
+  sym::Values values, next;  // agreeing values; the merge's scratch
   std::unordered_set<ir::FieldId> tops;
   // Per-field constant sets across paths (for value-set pre-conditions);
   // a field leaves the map when any path gives it a non-constant value or
@@ -52,10 +52,7 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
   std::unordered_map<ir::FieldId, std::unordered_set<uint64_t>> const_sets;
   uint64_t count = 0;
   auto intersect = [&](const sym::PathResult& r) {
-    sym::PathResult& s = pc.frontier.states.emplace_back();
-    s.conds = r.conds;
-    s.values = r.values;
-    s.obligations = r.obligations;
+    pc.frontier.states.push_back({{}, r.conds, r.values, r.obligations});
     std::unordered_set<ir::ExprRef> rc(r.conds.begin(), r.conds.end());
     if (count++ == 0) {
       conds = std::move(rc);
@@ -69,27 +66,21 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
     for (auto it = conds.begin(); it != conds.end();) {
       it = rc.count(*it) ? std::next(it) : conds.erase(it);
     }
-    std::vector<ir::FieldId> interesting;
-    for (auto& [f, v] : values) interesting.push_back(f);
-    for (auto& [f, v] : r.values) interesting.push_back(f);
-    for (ir::FieldId f : interesting) {
-      if (tops.count(f)) continue;
-      auto a = values.find(f);
-      ir::ExprRef va = a != values.end() ? a->second : ctx.var(f);
-      auto b = r.values.find(f);
-      ir::ExprRef vb = b != r.values.end() ? b->second : ctx.var(f);
-      if (va != vb) {
-        tops.insert(f);
-        values.erase(f);
-      }
-    }
+    next.clear();
+    sym::merge_values(
+        values, r.values, [&](ir::FieldId f) { return ctx.var(f); },
+        [&](ir::FieldId f, ir::ExprRef va, ir::ExprRef vb, bool in_values) {
+          if (va != vb) tops.insert(f);
+          else if (in_values) next.emplace_back(f, va);
+        });
+    values.swap(next);
     for (auto it = const_sets.begin(); it != const_sets.end();) {
-      auto b = r.values.find(it->first);
-      if (b == r.values.end() || !b->second->is_const() ||
+      const ir::ExprRef v = sym::find_value(r.values, it->first);
+      if (v == nullptr || !v->is_const() ||
           it->second.size() > kMaxValueSet) {
         it = const_sets.erase(it);
       } else {
-        it->second.insert(b->second->value);
+        it->second.insert(v->value);
         ++it;
       }
     }
@@ -113,8 +104,8 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
   for (ir::ExprRef c : cond_order) {
     if (conds.erase(c) != 0) pc.conds.push_back(c);
   }
-  for (auto& [f, v] : values) {
-    if (v != ctx.var(f)) pc.values.emplace(f, v);
+  for (const auto& [f, v] : values) {
+    if (v != ctx.var(f)) pc.values.emplace_back(f, v);
   }
   for (ir::FieldId f : tops) {
     auto it = const_sets.find(f);
@@ -154,14 +145,9 @@ EntryState entry_state(ir::Context& ctx, const PreCondition& pc,
     }
     es.constraints.push_back(ctx.arena.any_of(eqs));
   }
-  std::vector<ir::FieldId> known;
-  known.reserve(pc.values.size());
-  for (const auto& [f, v] : pc.values) known.push_back(f);
-  sort_fields_by_name(known, ctx.fields);
-  for (ir::FieldId f : known) {
+  for (const auto& [f, v] : sym::by_name(pc.values, ctx.fields)) {
     // Known entry value: the binding @f == V_pub(f).
-    es.constraints.push_back(
-        ctx.arena.cmp(ir::CmpOp::kEq, snapshot(f), pc.values.at(f)));
+    es.constraints.push_back(ctx.arena.cmp(ir::CmpOp::kEq, snapshot(f), v));
   }
   return es;
 }
@@ -188,17 +174,14 @@ class PathEncoder {
   void encode(const sym::PathResult& r, cfg::NodeId entry, cfg::NodeId exit) {
     // Changed fields: assigned inside the pipeline to something other than
     // their seed. Skip snapshot fields themselves.
-    std::vector<std::pair<ir::FieldId, ir::ExprRef>> changed;
+    sym::Values changed;
     for (const auto& [f, v] : r.values) {
       auto s = seeds_.find(f);
       if (s != seeds_.end() && s->second == v) continue;  // still the seed
       if (s == seeds_.end() && v == ctx_.var(f)) continue;  // identity
       changed.push_back({f, v});
     }
-    std::sort(changed.begin(), changed.end(),
-              [&](const auto& a, const auto& b) {
-                return ctx_.fields.name(a.first) < ctx_.fields.name(b.first);
-              });  // deterministic (name-based) order
+    changed = sym::by_name(changed, ctx_.fields);
 
     // Substitution for raw reads of fields this path changes: a raw field
     // occurrence means "value at pipeline entry", which Phase A snapshots.

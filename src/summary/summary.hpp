@@ -97,11 +97,13 @@ struct SummaryOptions {
 };
 
 // The public pre-condition of one pipeline: constraints over program
-// inputs, plus per-field knowledge of the value every valid path assigns
-// (absent + not top = the field is untouched, i.e. still the input symbol).
+// inputs, plus the values every valid path agrees on. `values` has the
+// type of each path's own final V (FieldId-sorted, so compute_precondition
+// intersects path by path with one merge); a field in neither `values` nor
+// `tops` is untouched, i.e. still the input symbol.
 struct PreCondition {
   std::vector<ir::ExprRef> conds;
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;
+  sym::Values values;
   std::unordered_set<ir::FieldId> tops;  // paths disagree: value unknown
   // For tops whose per-path values are all constants: the merged value set
   // (the paper's §7 "group pre-conditions by packet type ... merge them

@@ -868,14 +868,9 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
       }
       if (valid) {
         ++stats.valid_paths;
-        PathResult r;
-        r.path = cur_path;
+        PathResult r{cur_path, state.conds(), state.values(),
+                     state.obligations(), n.exit, n.emit_instance};
         r.path.push_back(id);
-        r.conds = state.conds();
-        r.values = state.values();
-        r.obligations = state.obligations();
-        r.exit = n.exit;
-        r.emit_instance = n.emit_instance;
         sink(r);
         if (opts.max_results != 0 && stats.valid_paths >= opts.max_results) {
           aborted = true;
@@ -923,10 +918,11 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
   unwind(mark, env_mark);
 }
 
-std::optional<smt::Model> Engine::solve_for_model(const PathResult& r) {
+std::optional<smt::Model> Engine::solve_for_model(
+    const std::vector<ir::ExprRef>& conds) {
   auto s = make_solver();
   for (ir::ExprRef c : preconds_) s->add(c);
-  for (ir::ExprRef c : r.conds) s->add(c);
+  for (ir::ExprRef c : conds) s->add(c);
   if (s->check() != smt::CheckResult::kSat) return std::nullopt;
   return s->model();
 }

@@ -157,10 +157,10 @@ struct EngineStats {
 struct PathResult {
   cfg::Path path;
   std::vector<ir::ExprRef> conds;  // path condition conjuncts
-  std::unordered_map<ir::FieldId, ir::ExprRef> values;  // final V
+  Values values;  // final V
   std::vector<HashObligation> obligations;
   cfg::ExitKind exit = cfg::ExitKind::kNone;
-  int emit_instance = -1;
+  int emit_instance = -1;  // deparser that serializes the output (kEmit)
 };
 
 // Symbolic states at one CFG node, in the order a DFS reached them: the
@@ -256,11 +256,12 @@ class Engine {
 
   const EngineStats& stats() const { return stats_; }
 
-  // Solves this result's path condition (plus preconditions) and returns a
+  // Solves a path condition's conjuncts (plus preconditions) and returns a
   // satisfying input assignment; nullopt if (unexpectedly) unsat. The model
   // covers every field mentioned; unmentioned inputs are free.
   // Thread-safe: builds a fresh solver per call.
-  std::optional<smt::Model> solve_for_model(const PathResult& r);
+  std::optional<smt::Model> solve_for_model(
+      const std::vector<ir::ExprRef>& conds);
 
  private:
   // All per-exploration mutable state (value/condition stacks, incremental

@@ -4,9 +4,9 @@
 // executing a node allocates nothing once the buffers have grown.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +14,52 @@
 #include "ir/stmt.hpp"
 
 namespace meissa::sym {
+
+// A path's final V: each assigned field once, sorted by FieldId, so
+// comparing or merging two paths' values is one linear pass. FieldId order
+// depends on thread scheduling: output ordered by field uses by_name().
+using Values = std::vector<std::pair<ir::FieldId, ir::ExprRef>>;
+
+// The value `vs` gives `f`, or nullptr when `f` is absent.
+inline ir::ExprRef find_value(const Values& vs, ir::FieldId f) {
+  auto it = std::lower_bound(
+      vs.begin(), vs.end(), f,
+      [](const auto& p, ir::FieldId x) { return p.first < x; });
+  return it != vs.end() && it->first == f ? it->second : nullptr;
+}
+
+// One linear merge: visit(f, va, vb, in_a) for each field of either list,
+// in FieldId order, where a side that lacks f reads as missing(f).
+template <class Missing, class Visit>
+void merge_values(const Values& a, const Values& b, Missing&& missing,
+                  Visit&& visit) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() || j != b.end()) {
+    const bool in_a = j == b.end() || (i != a.end() && i->first <= j->first);
+    const bool in_b = i == a.end() || (j != b.end() && j->first <= i->first);
+    const ir::FieldId f = in_a ? i->first : j->first;
+    const ir::ExprRef va = in_a ? (i++)->second : missing(f);
+    const ir::ExprRef vb = in_b ? (j++)->second : missing(f);
+    visit(f, va, vb, in_a);
+  }
+}
+
+// `vs` in field-name order, the scheduling-independent one. Each name is
+// looked up once, not once per comparison.
+inline Values by_name(const Values& vs, const ir::FieldTable& fields) {
+  std::vector<std::pair<const std::string*, size_t>> order;
+  order.reserve(vs.size());
+  for (size_t i = 0; i < vs.size(); ++i) {
+    order.emplace_back(&fields.name(vs[i].first), i);
+  }
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  Values out;
+  out.reserve(vs.size());
+  for (const auto& [name, i] : order) out.push_back(vs[i]);
+  return out;
+}
 
 // A hash whose keys were not pinned to constants at execution time: the
 // destination was left as the fresh symbol `placeholder`, and the test
@@ -80,12 +126,15 @@ class SymState {
   const std::vector<HashObligation>& obligations() const {
     return obligations_;
   }
-  // Every assigned field with its current value. The fields are exactly
-  // those of the undo log, so building the map costs the path's
-  // assignments, not the field table.
-  std::unordered_map<ir::FieldId, ir::ExprRef> values() const {
-    std::unordered_map<ir::FieldId, ir::ExprRef> out;
-    for (const auto& [f, prev] : undo_) out.try_emplace(f, values_[f]);
+  // Every assigned field with its current value, built from the undo log
+  // (the path's assignments, not the field table). A field assigned twice
+  // yields equal pairs, which sort next to each other.
+  Values values() const {
+    Values out;
+    out.reserve(undo_.size());
+    for (const auto& [f, prev] : undo_) out.emplace_back(f, values_[f]);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
   }
 

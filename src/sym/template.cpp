@@ -76,14 +76,9 @@ std::vector<std::string> find_invalid_header_reads(const ir::Context& ctx,
 TestCaseTemplate make_template(ir::Context& ctx, const cfg::Cfg& g,
                                const PathResult& r, uint64_t id) {
   TestCaseTemplate t;
+  static_cast<PathResult&>(t) = r;
   t.id = id;
-  t.path = r.path;
-  t.conds = r.conds;
   t.path_condition = ctx.arena.all_of(r.conds);
-  t.final_values = r.values;
-  t.obligations = r.obligations;
-  t.exit = r.exit;
-  t.emit_instance = r.emit_instance;
   for (cfg::NodeId n : r.path) {
     if (g.node(n).instance >= 0) {
       t.entry_instance = g.node(n).instance;

@@ -10,15 +10,11 @@
 
 namespace meissa::sym {
 
-struct TestCaseTemplate {
+// The engine's path record (path, conds, final V as `values`, obligations,
+// exit, emitting deparser) plus what the driver adds to it.
+struct TestCaseTemplate : PathResult {
   uint64_t id = 0;
-  cfg::Path path;
-  std::vector<ir::ExprRef> conds;  // path condition conjuncts (input terms)
-  ir::ExprRef path_condition = nullptr;  // their conjunction
-  std::unordered_map<ir::FieldId, ir::ExprRef> final_values;
-  std::vector<HashObligation> obligations;
-  cfg::ExitKind exit = cfg::ExitKind::kNone;
-  int emit_instance = -1;   // deparser that serializes the output (kEmit)
+  ir::ExprRef path_condition = nullptr;  // conjunction of `conds`
   int entry_instance = -1;  // pipeline instance whose parser sees the input
   // Static diagnostics found on this path (e.g. reads of invalid-header
   // fields — the class of problem p4pktgen-style tools flag).

@@ -1,11 +1,12 @@
 // Crash-safe checkpointing (driver/checkpoint): payload round-trips are
-// name-based (a fresh Context re-serializes to the same bytes), the file
-// image rejects every corruption class (magic, version, key, truncation,
-// payload bit-flips) via its CRC, seeded havoc mutants of a real payload
-// and file image load or are rejected without crashing, the manager falls
-// back to `.prev` when the current file fails validation, and an
-// engine-level mid-flight frontier resumes to the exact result stream of
-// an uninterrupted run.
+// name-based (a fresh Context re-serializes to the same bytes, and reads a
+// path's values back in its own FieldId order, rejecting a repeated name),
+// the file image rejects every corruption class (magic, version, key,
+// truncation, payload bit-flips) via its CRC, seeded havoc mutants of a
+// real payload and file image load or are rejected without crashing, the
+// manager falls back to `.prev` when the current file fails validation,
+// and an engine-level mid-flight frontier resumes to the exact result
+// stream of an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +134,56 @@ TEST(Checkpoint, PayloadRoundTripIsNameBased) {
   }
   const std::vector<uint8_t> bytes2 = driver::serialize_checkpoint(ctx2, d2);
   EXPECT_EQ(bytes2, bytes1);
+}
+
+TEST(Checkpoint, ValuesReadBackInTheReadersFieldIdOrder) {
+  // The payload lists a path's values by name. A reader that interned the
+  // same fields in the opposite order must still get a FieldId-sorted list
+  // whose lookups find every value.
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  ir::Context ctx1;
+  sym::PathResult pr;
+  for (const std::string& name : names) {
+    pr.values.emplace_back(ctx1.fields.intern(name, 8), nullptr);
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    pr.values[i].second = ctx1.arena.arith(
+        ir::ArithOp::kAdd, ctx1.var(pr.values[names.size() - 1 - i].first),
+        ctx1.arena.constant(i + 1, 8));
+  }
+  auto payload = [&](const sym::PathResult& r) {
+    driver::CheckpointData d;
+    d.units["p0"].instance = "p0";
+    d.units["p0"].internal = {r};
+    return driver::serialize_checkpoint(ctx1, d);
+  };
+
+  ir::Context ctx2;
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    ctx2.fields.intern(*it, 8);
+  }
+  const sym::Values vs = driver::deserialize_checkpoint(ctx2, payload(pr))
+                             .units.at("p0")
+                             .internal.at(0)
+                             .values;
+  ASSERT_EQ(vs.size(), names.size());
+  for (size_t i = 1; i < vs.size(); ++i) {
+    EXPECT_LT(vs[i - 1].first, vs[i].first);
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    const ir::ExprRef v = sym::find_value(vs, ctx2.fields.require(names[i]));
+    ASSERT_NE(v, nullptr) << names[i];
+    EXPECT_EQ(ir::to_string(v, ctx2.fields),
+              ir::to_string(pr.values[i].second, ctx1.fields));
+  }
+
+  // A payload that names one field twice is corrupt, not a silent
+  // overwrite.
+  sym::PathResult twice = pr;
+  twice.values.emplace_back(pr.values[0].first, ctx1.arena.constant(9, 8));
+  ir::Context ctx3;
+  EXPECT_THROW(driver::deserialize_checkpoint(ctx3, payload(twice)),
+               util::ValidationError);
 }
 
 TEST(Checkpoint, TruncatedPayloadThrowsNotCrashes) {

@@ -301,7 +301,7 @@ TEST(GeneratorTest, ActionCoverModeBuildsSymbolicArgs) {
   // Some template constrains an action parameter symbolically.
   bool saw_arg = false;
   for (const auto& t : templates) {
-    for (const auto& [f, v] : t.final_values) {
+    for (const auto& [f, v] : t.values) {
       saw_arg |= ctx.fields.name(f).rfind("ig.eg_spec", 0) == 0 &&
                  !v->is_const();
     }

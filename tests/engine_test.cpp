@@ -53,7 +53,7 @@ TEST_F(Fig7Engine, EveryModelDrivesItsOwnPath) {
   std::vector<PathResult> rs;
   eng.run([&](const PathResult& r) { rs.push_back(r); });
   for (const auto& r : rs) {
-    auto model = eng.solve_for_model(r);
+    auto model = eng.solve_for_model(r.conds);
     ASSERT_TRUE(model.has_value());
     // Complete the model with defaults for unconstrained inputs.
     ir::ConcreteState s;
@@ -183,7 +183,7 @@ TEST_F(Fig8Engine, CrossPipelineInvalidCombinationsArePruned) {
   std::vector<PathResult> rs;
   eng.run([&](const PathResult& r) { rs.push_back(r); });
   for (const auto& r : rs) {
-    auto model = eng.solve_for_model(r);
+    auto model = eng.solve_for_model(r.conds);
     ASSERT_TRUE(model.has_value());
     ir::ConcreteState s;
     for (auto& [f, v] : *model) s[f] = v;
@@ -217,7 +217,8 @@ TEST(EngineHash, ConcreteKeysFoldToConstants) {
   std::vector<PathResult> rs;
   eng.run([&](const PathResult& r) { rs.push_back(r); });
   ASSERT_EQ(rs.size(), 1u);
-  ir::ExprRef hv = rs[0].values.at(h);
+  ir::ExprRef hv = find_value(rs[0].values, h);
+  ASSERT_NE(hv, nullptr);
   ASSERT_TRUE(hv->is_const());
   EXPECT_EQ(hv->value,
             p4::compute_hash(p4::HashAlgo::kCrc16, {0x01020304}, {32}, 16));
@@ -257,7 +258,8 @@ TEST(EngineHash, SymbolicKeysLeaveObligation) {
 
 TEST(SymStateTest, PropertyAgreesWithAMapModelAcrossRollbacks) {
   // Random assign / mark / rollback sequences against the obvious model: a
-  // map from field to value plus a stack of map snapshots. Fields are
+  // map from field to value plus a stack of map snapshots. values() must
+  // list the model's fields strictly increasing in FieldId. Fields are
   // interned as the run goes, so later assignments land past the store's
   // current size and grow it.
   ir::Context ctx;
@@ -295,7 +297,12 @@ TEST(SymStateTest, PropertyAgreesWithAMapModelAcrossRollbacks) {
       ASSERT_EQ(st.value_of(f), it != model.end() ? it->second : ctx.var(f))
           << "step " << step;
     }
-    ASSERT_EQ(st.values(), model) << "step " << step;
+    // values() is the model as a list strictly increasing in FieldId.
+    const Values vs = st.values();
+    for (size_t i = 1; i < vs.size(); ++i) {
+      ASSERT_LT(vs[i - 1].first, vs[i].first) << "step " << step;
+    }
+    ASSERT_EQ(Model(vs.begin(), vs.end()), model) << "step " << step;
     if (fs.size() >= 2) {
       // ⟦V⟧ of a two-field sum is the sum of the two current values.
       ir::FieldId a = fs[rng.below(fs.size())];

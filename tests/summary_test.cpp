@@ -7,6 +7,8 @@
 #include <regex>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "apps/apps.hpp"
 #include "summary/summary.hpp"
@@ -87,7 +89,7 @@ TEST_F(Fig8Summary, SummaryPreservesBehaviourOnModels) {
     std::vector<PathResult> rs;
     eng.run([&](const PathResult& r) { rs.push_back(r); });
     for (const auto& r : rs) {
-      auto model = eng.solve_for_model(r);
+      auto model = eng.solve_for_model(r.conds);
       ASSERT_TRUE(model.has_value());
       ir::ConcreteState s;
       for (auto& [f, v] : *model) s[f] = v;
@@ -133,9 +135,10 @@ TEST_F(Fig8Summary, EnumeratedPreconditionFindsProtoAndEgSpec) {
   EXPECT_NE(std::find(pc.conds.begin(), pc.conds.end(), proto_is_tcp),
             pc.conds.end());
   ir::FieldId eg = ctx.fields.require(std::string(p4::kEgressSpec));
-  ASSERT_TRUE(pc.values.count(eg));
-  EXPECT_TRUE(pc.values.at(eg)->is_const());
-  EXPECT_EQ(pc.values.at(eg)->value, 1u);
+  ir::ExprRef v = sym::find_value(pc.values, eg);
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->is_const());
+  EXPECT_EQ(v->value, 1u);
 }
 
 TEST(SummaryPrecondition, EnumeratesEveryPrefixPathWithNoCap) {
@@ -190,7 +193,7 @@ TEST(SummaryPrecondition, EntryStateOrdersSeedsAndConstraintsByName) {
   pc.conds = {eq(ctx.field_var("z", 8), 1)};
   pc.tops = {a, b};
   pc.value_sets[b] = {3, 4};
-  pc.values[k] = ctx.arena.constant(7, 8);
+  pc.values = {{k, ctx.arena.constant(7, 8)}};
 
   EntryState es = entry_state(ctx, pc, "p1");
   auto at = [&](const char* f) {
@@ -271,7 +274,7 @@ std::string canonical_free_names(const std::string& s) {
 // field name; then its frontier's states in order.
 std::string render(const ir::Context& ctx, const PreCondition& pc) {
   auto str = [&](ir::ExprRef e) { return ir::to_string(e, ctx.fields); };
-  auto values = [&](const std::unordered_map<ir::FieldId, ir::ExprRef>& vs) {
+  auto values = [&](const sym::Values& vs) {
     std::map<std::string, std::string> sorted;
     for (const auto& [f, v] : vs) sorted[ctx.fields.name(f)] = str(v);
     std::string out;
@@ -306,10 +309,78 @@ std::string render(const ir::Context& ctx, const PreCondition& pc) {
   return canonical_free_names(os.str());
 }
 
+// Algorithm 2's value intersection recomputed from `pc`'s frontier states
+// with hash maps and per-field probes, independently of the sorted-list
+// merge compute_precondition uses: the reference it must match. A field a
+// state leaves unassigned reads as its input symbol, and the value-set cap
+// is checked before each insert.
+void expect_values_match_map_oracle(ir::Context& ctx, const PreCondition& pc,
+                                    const std::string& where) {
+  constexpr size_t kMaxValueSet = 96;  // compute_precondition's cap
+  using Map = std::unordered_map<ir::FieldId, ir::ExprRef>;
+  Map values;
+  std::unordered_set<ir::FieldId> tops;
+  std::unordered_map<ir::FieldId, std::unordered_set<uint64_t>> const_sets;
+  for (size_t i = 0; i < pc.frontier.states.size(); ++i) {
+    const Map r(pc.frontier.states[i].values.begin(),
+                pc.frontier.states[i].values.end());
+    if (i == 0) {
+      values = r;
+      for (const auto& [f, v] : r) {
+        if (v->is_const()) const_sets[f].insert(v->value);
+      }
+      continue;
+    }
+    std::vector<ir::FieldId> interesting;
+    for (const auto& [f, v] : values) interesting.push_back(f);
+    for (const auto& [f, v] : r) interesting.push_back(f);
+    for (ir::FieldId f : interesting) {
+      if (tops.count(f)) continue;
+      auto a = values.find(f);
+      auto b = r.find(f);
+      if ((a != values.end() ? a->second : ctx.var(f)) !=
+          (b != r.end() ? b->second : ctx.var(f))) {
+        tops.insert(f);
+        values.erase(f);
+      }
+    }
+    for (auto it = const_sets.begin(); it != const_sets.end();) {
+      auto b = r.find(it->first);
+      if (b == r.end() || !b->second->is_const() ||
+          it->second.size() > kMaxValueSet) {
+        it = const_sets.erase(it);
+      } else {
+        it->second.insert(b->second->value);
+        ++it;
+      }
+    }
+  }
+  std::map<ir::FieldId, ir::ExprRef> want_values;
+  for (const auto& [f, v] : values) {
+    if (v != ctx.var(f)) want_values.emplace(f, v);
+  }
+  std::map<ir::FieldId, std::vector<uint64_t>> want_sets;
+  for (ir::FieldId f : tops) {
+    auto it = const_sets.find(f);
+    if (it == const_sets.end() || it->second.empty()) continue;
+    std::vector<uint64_t> vs(it->second.begin(), it->second.end());
+    std::sort(vs.begin(), vs.end());
+    want_sets.emplace(f, std::move(vs));
+  }
+  // A list equal to the std::map's entries is FieldId-sorted, too.
+  EXPECT_EQ(pc.values, sym::Values(want_values.begin(), want_values.end()))
+      << where;
+  EXPECT_EQ(pc.tops, tops) << where;
+  const decltype(want_sets) got_sets(pc.value_sets.begin(),
+                                     pc.value_sets.end());
+  EXPECT_EQ(got_sets, want_sets) << where;
+}
+
 // For every instance t of `original` with a nearest dominating instance d:
 // extending F_d on the summarized graph must reproduce the enumeration
 // from the CFG entry — pre-condition, prefix paths and t's own frontier,
-// in DFS order. Returns how many instances it checked.
+// in DFS order — and each of the three pre-conditions must match the map
+// oracle. Returns how many instances it checked.
 int expect_extension_matches_entry(ir::Context& ctx, const cfg::Cfg& original,
                                    const cfg::Cfg& summarized) {
   const std::vector<int> dom = nearest_dominators(original);
@@ -329,6 +400,9 @@ int expect_extension_matches_entry(ir::Context& ctx, const cfg::Cfg& original,
         compute_precondition(ctx, summarized, info.entry, po);
     EXPECT_EQ(extended.prefix_paths, entry.prefix_paths) << info.name;
     EXPECT_EQ(render(ctx, extended), render(ctx, entry)) << info.name;
+    expect_values_match_map_oracle(ctx, pd, info.name + " dominator");
+    expect_values_match_map_oracle(ctx, entry, info.name);
+    expect_values_match_map_oracle(ctx, extended, info.name + " extended");
     // The entry DFS is d's enumeration plus the extension; d's entry is
     // visited once per prefix path in each (d's stop, the extension's
     // start).
@@ -338,6 +412,31 @@ int expect_extension_matches_entry(ir::Context& ctx, const cfg::Cfg& original,
     ++checked;
   }
   return checked;
+}
+
+TEST(SummaryPrecondition, ValueSetCapMatchesMapOracleAtItsBoundary) {
+  // n one-node branches set `f` to 0..n-1 ahead of a pipeline entry. The
+  // cap is checked before each insert, so 97 constants still merge into a
+  // value set and a 98th path drops it.
+  for (uint64_t n : {97u, 98u}) {
+    ir::Context ctx;
+    cfg::Cfg g;
+    const cfg::NodeId fork = g.add(ir::Stmt::nop());
+    g.set_entry(fork);
+    const cfg::NodeId pentry = g.add(ir::Stmt::nop());
+    const ir::FieldId f = ctx.fields.intern("f", 8);
+    for (uint64_t i = 0; i < n; ++i) {
+      const cfg::NodeId set =
+          g.add(ir::Stmt::assign(f, ctx.arena.constant(i, 8)));
+      g.link(fork, set);
+      g.link(set, pentry);
+    }
+    const PreCondition pc = compute_precondition(ctx, g, pentry);
+    ASSERT_EQ(pc.prefix_paths, n);
+    EXPECT_TRUE(pc.tops.count(f)) << n;
+    EXPECT_EQ(pc.value_sets.count(f), n == 97 ? 1u : 0u) << n;
+    expect_values_match_map_oracle(ctx, pc, std::to_string(n) + " paths");
+  }
 }
 
 apps::AppBundle gw4(ir::Context& ctx) {
@@ -456,7 +555,7 @@ TEST_P(SummaryProperty, PreservesValidPathsOnRandomCfgs) {
     std::vector<PathResult> rs;
     eng.run([&](const PathResult& r) { rs.push_back(r); });
     for (const auto& r : rs) {
-      auto model = eng.solve_for_model(r);
+      auto model = eng.solve_for_model(r.conds);
       ASSERT_TRUE(model.has_value());
       ir::ConcreteState s;
       for (auto& [f, v] : *model) s[f] = v;

@@ -13,6 +13,7 @@
 #include "driver/generator.hpp"
 #include "summary/summary.hpp"
 #include "sym/template.hpp"
+#include "testlib.hpp"
 #include "util/error.hpp"
 
 namespace meissa::analysis {
@@ -123,6 +124,37 @@ TEST(Validate, WidenGuardFaultIsRefuted) {
 
 TEST(Validate, DropEffectFaultIsRefuted) {
   expect_fault_refuted(SummaryFaultKind::kDropEffect);
+}
+
+TEST(Validate, EffectOnAnUnchangedSeededFieldIsRefuted) {
+  // Fig. 8's egress pipeline is seeded with the egress spec's known entry
+  // value and never writes it, so each original path lists the field at its
+  // seed. A summarized branch that ends by writing it must still be
+  // refuted: the effect check walks the fields either side changes.
+  ir::Context ctx;
+  p4::DataPlane dp = testlib::make_fig8_plane(ctx);
+  const cfg::Cfg original = cfg::build_cfg(dp, testlib::fig8_rules(), ctx);
+  summary::SummaryResult sr = summary::summarize(ctx, original);
+  cfg::Cfg& g = sr.graph;
+  const cfg::InstanceInfo eg = g.instances()[1];
+  const ir::FieldId spec = ctx.fields.require(std::string(p4::kEgressSpec));
+  cfg::NodeId last = g.node(eg.entry).succ.at(0);
+  while (g.node(last).succ.at(0) != eg.exit) last = g.node(last).succ[0];
+  const cfg::NodeId write = g.add(ir::Stmt::assign(
+      spec, ctx.arena.arith(ir::ArithOp::kAdd, ctx.var(spec),
+                            ctx.arena.constant(1, ctx.fields.width(spec)))));
+  g.node(write).instance = 1;
+  g.node(last).succ = {write};
+  g.link(write, eg.exit);
+
+  const ValidationResult r = validate_summary(ctx, original, g, {});
+  bool refuted = false;
+  for (const Obligation& o : r.pipelines.at(1).obligations) {
+    refuted |= o.kind == ObligationKind::kEffect &&
+               o.verdict == ObligationVerdict::kRefuted &&
+               o.field == p4::kEgressSpec;
+  }
+  EXPECT_TRUE(refuted) << validate_render_text(r, /*obligations_dump=*/true);
 }
 
 TEST(Validate, ExhaustedBudgetReportsUnprovenNeverPassed) {
