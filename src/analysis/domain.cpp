@@ -118,8 +118,8 @@ void ValueRange::refine(const smt::Atom& a) {
   }
   if (!a.set.empty()) {
     // Interval hull of the membership set.
-    lo_ = std::max(lo_, a.set.front());
-    hi_ = std::min(hi_, a.set.back());
+    lo_ = std::max(lo_, a.set.front().lo);
+    hi_ = std::min(hi_, a.set.back().hi);
     return;
   }
   const bool exact = a.is_exact_mask();
@@ -245,8 +245,18 @@ Ternary ValueRange::eval(const smt::Atom& a) const {
     return Ternary::kUnknown;
   }
   if (!a.set.empty()) {
-    for (uint64_t s : a.set) {
-      if (plausible(s)) return Ternary::kUnknown;
+    // A member interval of up to 256 values is checked value by value;
+    // a wider one that overlaps [lo_, hi_] may hold a plausible value.
+    for (size_t k = 0; k < a.set.size(); ++k) {
+      const smt::Interval i = a.set[k];
+      if (i.hi - i.lo >= 256) {
+        if (i.lo <= hi_ && lo_ <= i.hi) return Ternary::kUnknown;
+        continue;
+      }
+      for (uint64_t s = i.lo;; ++s) {
+        if (plausible(s)) return Ternary::kUnknown;
+        if (s == i.hi) break;
+      }
     }
     return Ternary::kFalse;
   }

@@ -2,25 +2,6 @@
 
 namespace meissa::analysis {
 
-namespace {
-
-// Conjoins the negation of `a`; !(f IN S) excludes every member.
-void require_negation(smt::Domain& d, const smt::Atom& a) {
-  if (a.set.empty()) {
-    d.require(smt::negate_atom(a));
-    return;
-  }
-  smt::Atom ne = a;
-  ne.set.clear();
-  ne.op = ir::CmpOp::kNe;
-  for (uint64_t v : a.set) {
-    ne.value = v;
-    d.require(ne);
-  }
-}
-
-}  // namespace
-
 smt::Domain PathEnv::domain_copy(ir::FieldId f, int width) const {
   auto it = slots_.find(f);
   if (it != slots_.end()) return it->second.dom;
@@ -90,7 +71,7 @@ Verdict PathEnv::assume(ir::ExprRef c) {
     bool all_implied = true;
     for (const smt::Atom& a : atoms) {
       smt::Domain neg = domain_copy(a.field, a.width);
-      require_negation(neg, a);
+      neg.require(smt::negate_atom(a));
       if (!neg.contradictory()) {
         all_implied = false;
         break;

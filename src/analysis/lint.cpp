@@ -220,10 +220,7 @@ LintResult lint_cfg(const ir::Context& ctx, const cfg::Cfg& g) {
         g.instances()[static_cast<size_t>(n.instance)];
 
     std::vector<ir::FieldId> ordered(reads.begin(), reads.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [&](ir::FieldId a, ir::FieldId b) {
-                return ctx.fields.name(a) < ctx.fields.name(b);
-              });
+    ctx.fields.sort_by_name(ordered);
     for (ir::FieldId f : ordered) {
       const std::string& name = ctx.fields.name(f);
 

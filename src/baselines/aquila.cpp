@@ -1,6 +1,7 @@
 #include <chrono>
 
 #include "baselines/baseline.hpp"
+#include "smt/bv_solver.hpp"
 #include "sym/template.hpp"
 #include "util/clock.hpp"
 #include "util/strings.hpp"
@@ -60,7 +61,14 @@ BaselineResult run_aquila(ir::Context& ctx, const p4::DataPlane& dp,
   eopts.static_pruning = false;  // baseline: every query reaches the solver
   sym::Engine eng(ctx, g, eopts);
 
-  auto solver = [&ctx]() { return smt::make_bv_solver(ctx); };
+  // Aquila encodes each verification query for a general SMT solver and
+  // has no per-field domain procedure, so these queries skip the fast
+  // path and go to the SAT core (the DFS above uses the engine's solver).
+  auto solver = [&ctx]() {
+    auto s = std::make_unique<smt::BvSolver>(ctx);
+    s->set_force_blast(true);
+    return s;
+  };
 
   // Headers each intent's assumes reference ("in.hdr.<h>.*"): the intent
   // only applies to paths whose entry parser produced those headers.

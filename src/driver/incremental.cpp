@@ -1,12 +1,12 @@
 #include "driver/incremental.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace meissa::driver {
 
@@ -57,15 +57,24 @@ std::string IncrementalSession::coverage_signature(
   return s;
 }
 
+namespace {
+
+// full_signature from the template's rendered coverage signature.
+std::string append_path(std::string sig, const sym::TestCaseTemplate& t) {
+  sig += "|path:";
+  for (cfg::NodeId n : t.path) {
+    sig += std::to_string(n);
+    sig += ',';
+  }
+  return sig;
+}
+
+}  // namespace
+
 std::string IncrementalSession::full_signature(const ir::Context& ctx,
                                                const cfg::Cfg& g,
                                                const sym::TestCaseTemplate& t) {
-  std::string s = coverage_signature(ctx, g, t);
-  s += "|path:";
-  for (cfg::NodeId n : t.path) {
-    s += util::format("%u,", n);
-  }
-  return s;
+  return append_path(coverage_signature(ctx, g, t), t);
 }
 
 IncrementalSession::IncrementalSession(ir::Context& ctx,
@@ -143,9 +152,10 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   // the previous run.
   std::vector<std::string> sigs;
   sigs.reserve(report.templates.size());
+  report.full_sigs.reserve(report.templates.size());
   for (const sym::TestCaseTemplate& t : report.templates) {
     sigs.push_back(coverage_signature(ctx_, gen.graph(), t));
-    report.full_sigs.push_back(full_signature(ctx_, gen.graph(), t));
+    report.full_sigs.push_back(append_path(sigs.back(), t));
   }
   std::sort(sigs.begin(), sigs.end());
   std::sort(report.full_sigs.begin(), report.full_sigs.end());

@@ -1,5 +1,6 @@
 #include "ir/field.hpp"
 
+#include <algorithm>
 #include <mutex>
 
 namespace meissa::ir {
@@ -35,6 +36,18 @@ FieldId FieldTable::intern(std::string_view name, int width) {
   entries_.push_back({std::string(name), width});
   by_name_.emplace(entries_.back().name, id);
   return id;
+}
+
+void FieldTable::sort_by_name(std::vector<FieldId>& fs) const {
+  std::vector<std::pair<const std::string*, FieldId>> named;
+  named.reserve(fs.size());
+  {
+    std::shared_lock<std::shared_mutex> lk(mu_);
+    for (FieldId f : fs) named.emplace_back(&entries_.at(f).name, f);
+  }
+  std::sort(named.begin(), named.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  for (size_t i = 0; i < fs.size(); ++i) fs[i] = named[i].second;
 }
 
 FieldId FieldTable::find(std::string_view name) const {

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -44,6 +45,10 @@ class FieldTable {
 
   // Like find(), but throws ValidationError when absent.
   FieldId require(std::string_view name) const;
+
+  // Orders `fs` by name, looking each name up once under one lock (a
+  // comparator calling name() would take the lock twice per comparison).
+  void sort_by_name(std::vector<FieldId>& fs) const;
 
   const std::string& name(FieldId id) const {
     std::shared_lock<std::shared_mutex> lk(mu_);

@@ -42,14 +42,52 @@ void BvSolver::add(ir::ExprRef bexp) {
 CheckResult BvSolver::try_fast_path() {
   std::vector<Atom> atoms;
   std::vector<ir::ExprRef> opaque;
+  std::vector<FieldEquality> equalities;
   for (const Scope& s : scopes_) {
-    for (ir::ExprRef a : s.asserts) decompose_conjunction(a, atoms, opaque);
+    for (ir::ExprRef a : s.asserts) {
+      decompose_conjunction(a, atoms, opaque, &equalities);
+    }
   }
   std::unordered_map<ir::FieldId, Domain> domains;
   for (const Atom& at : atoms) {
     if (at.field == ir::kInvalidField) return CheckResult::kUnsat;
     domains.try_emplace(at.field, at.width).first->second.require(at);
   }
+
+  // Equality classes: a union-find over the fields of the f == g
+  // conjuncts. Each member's domain folds into its class root's, and the
+  // root's witness is every member's.
+  std::unordered_map<ir::FieldId, size_t> index;
+  std::vector<size_t> parent;
+  std::vector<std::pair<ir::FieldId, int>> members;  // field, width
+  auto node = [&](ir::FieldId f, int width) {
+    auto [it, fresh] = index.try_emplace(f, parent.size());
+    if (fresh) {
+      parent.push_back(parent.size());
+      members.emplace_back(f, width);
+    }
+    return it->second;
+  };
+  auto root = [&](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (const FieldEquality& e : equalities) {
+    const size_t ra = root(node(e.a, e.width));
+    const size_t rb = root(node(e.b, e.width));
+    parent[ra] = rb;
+  }
+  for (size_t i = 0; i < parent.size(); ++i) {
+    const auto& [root_field, width] = members[root(i)];
+    Domain& d = domains.try_emplace(root_field, width).first->second;
+    if (root(i) == i) continue;
+    auto it = domains.find(members[i].first);
+    if (it != domains.end()) {
+      d.intersect(it->second);
+      domains.erase(it);
+    }
+  }
+
   Model candidate;
   for (auto& [fid, d] : domains) {
     bool decided = true;
@@ -59,6 +97,10 @@ CheckResult BvSolver::try_fast_path() {
     candidate.emplace(fid, *v);
   }
   if (!opaque.empty()) return CheckResult::kUnknown;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    const uint64_t v = candidate.at(members[root(i)].first);
+    candidate.emplace(members[i].first, v);
+  }
   model_ = std::move(candidate);
   model_from_fast_path_ = true;
   return CheckResult::kSat;

@@ -36,7 +36,8 @@ class BvSolver final : public Solver {
   size_t blast_cache_entries() const { return blaster_.cache_entries(); }
 
   // Forces every check through bit-blasting (fast path never consulted).
-  // Differential-testing hook; not part of the Solver interface.
+  // Used by the differential tests and by the Aquila baseline, whose
+  // queries have no domain procedure; not part of the Solver interface.
   void set_force_blast(bool on) { force_blast_ = on; }
 
   // Per-region portfolio win counters, summed over regions (tests/report).
@@ -46,7 +47,9 @@ class BvSolver final : public Solver {
  private:
   // Attempts the pure-domain decision procedure: every scope's asserts
   // decomposed into single-field atoms, each required into its field's
-  // Domain. kUnknown when a conjunct was opaque or a witness search ran
+  // Domain, and the f == g conjuncts closed into equality classes whose
+  // members share one domain (the intersection of theirs) and one witness.
+  // kUnknown when any other conjunct was opaque or a witness search ran
   // out of attempts, unless some domain came up empty.
   CheckResult try_fast_path();
 

@@ -1,6 +1,7 @@
 #include "smt/domain.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace meissa::smt {
 
@@ -71,47 +72,103 @@ bool classify_cmp(ExprRef e, Atom& a) {
     a.mask = util::mask_bits(base->width);
     a.value = 0;
   }
-  a.set.clear();
+  a.set = IntervalList();
   return true;
 }
 
-// OR-tree whose leaves are all `field == const` on the same field: the
-// merged pre-condition / any-of shape. Produces a membership atom.
-bool collect_set_leaves(ExprRef e, ir::FieldId& field, int& width,
-                        std::vector<uint64_t>& values) {
-  if (e->kind == ExprKind::kBool && e->bool_op() == ir::BoolOp::kOr) {
-    return collect_set_leaves(e->lhs, field, width, values) &&
-           collect_set_leaves(e->rhs, field, width, values);
+// The values of a `width`-bit field satisfying the full-mask compare
+// `op value`.
+IntervalList compare_values(CmpOp op, uint64_t value, int width) {
+  const uint64_t max = util::mask_bits(width);
+  const uint64_t v = util::truncate(value, width);
+  switch (op) {
+    case CmpOp::kEq: return IntervalList(Interval{v, v});
+    case CmpOp::kNe: return complement(IntervalList(Interval{v, v}), width);
+    case CmpOp::kLt:
+      return v == 0 ? IntervalList() : IntervalList(Interval{0, v - 1});
+    case CmpOp::kLe: return IntervalList(Interval{0, v});
+    case CmpOp::kGt:
+      return v == max ? IntervalList() : IntervalList(Interval{v + 1, max});
+    case CmpOp::kGe: return IntervalList(Interval{v, max});
   }
-  Atom a;
-  if (!classify_cmp(e, a) || a.op != CmpOp::kEq || !a.is_exact_mask()) {
+  return IntervalList();
+}
+
+// The values of one field satisfying `e` (its negation when `negated`),
+// when `e` is an and/or/not tree whose leaves are full-mask compares on
+// that one field. `field` is kInvalidField on entry and names the field
+// on success.
+bool field_values(ExprRef e, bool negated, ir::FieldId& field, int& width,
+                  IntervalList& out) {
+  while (e->kind == ExprKind::kNot) {
+    e = e->lhs;
+    negated = !negated;
+  }
+  if (e->kind == ExprKind::kCmp) {
+    Atom a;
+    if (!classify_cmp(e, a) || !a.is_exact_mask()) return false;
+    if (field != ir::kInvalidField && field != a.field) return false;
+    field = a.field;
+    width = a.width;
+    out = compare_values(negated ? flipped(a.op) : a.op, a.value, a.width);
+    return true;
+  }
+  if (e->kind != ExprKind::kBool) return false;
+  // The operands of the maximal chain of this node's connective: one
+  // intersection or one sorted union over all of them.
+  const bool conj = (e->bool_op() == ir::BoolOp::kAnd) != negated;
+  std::vector<std::pair<ExprRef, bool>> pending{{e->lhs, negated},
+                                                {e->rhs, negated}};
+  std::vector<std::pair<ExprRef, bool>> operands;
+  while (!pending.empty()) {
+    auto [x, neg] = pending.back();
+    pending.pop_back();
+    while (x->kind == ExprKind::kNot) {
+      x = x->lhs;
+      neg = !neg;
+    }
+    if (x->kind == ExprKind::kBool &&
+        ((x->bool_op() == ir::BoolOp::kAnd) != neg) == conj) {
+      pending.emplace_back(x->lhs, neg);
+      pending.emplace_back(x->rhs, neg);
+    } else {
+      operands.emplace_back(x, neg);
+    }
+  }
+  std::vector<Interval> united;
+  for (size_t i = 0; i < operands.size(); ++i) {
+    IntervalList s;
+    if (!field_values(operands[i].first, operands[i].second, field, width,
+                      s)) {
+      return false;
+    }
+    if (!conj) {
+      for (size_t k = 0; k < s.size(); ++k) united.push_back(s[k]);
+    } else {
+      out = i == 0 ? std::move(s) : intersect(out, s);
+    }
+  }
+  if (!conj) out = IntervalList::from_unsorted(united);
+  return true;
+}
+
+using Equalities = std::vector<FieldEquality>;
+
+// `f == g` (or a negated `f != g`) over two distinct fields (compare
+// operands always share one width).
+bool field_equality(ExprRef e, bool negated, Equalities* equalities) {
+  if (equalities == nullptr ||
+      e->cmp_op() != (negated ? CmpOp::kNe : CmpOp::kEq) ||
+      e->lhs->kind != ExprKind::kField || e->rhs->kind != ExprKind::kField ||
+      e->lhs->field == e->rhs->field) {
     return false;
   }
-  if (field != ir::kInvalidField && field != a.field) return false;
-  field = a.field;
-  width = a.width;
-  values.push_back(a.value);
-  return true;
-}
-
-bool classify_value_set(ExprRef e, Atom& a) {
-  ir::FieldId field = ir::kInvalidField;
-  int width = 0;
-  std::vector<uint64_t> values;
-  if (!collect_set_leaves(e, field, width, values)) return false;
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  a.field = field;
-  a.width = width;
-  a.op = CmpOp::kEq;
-  a.mask = util::mask_bits(width);
-  a.value = 0;
-  a.set = std::move(values);
+  equalities->push_back({e->lhs->field, e->rhs->field, e->lhs->width});
   return true;
 }
 
 void decompose(ExprRef e, bool negated, std::vector<Atom>& atoms,
-               std::vector<ir::ExprRef>& opaque) {
+               std::vector<ir::ExprRef>& opaque, Equalities* equalities) {
   switch (e->kind) {
     case ExprKind::kBoolConst: {
       const bool truth = (e->value == 1) != negated;
@@ -119,30 +176,23 @@ void decompose(ExprRef e, bool negated, std::vector<Atom>& atoms,
       return;
     }
     case ExprKind::kNot:
-      decompose(e->lhs, !negated, atoms, opaque);
+      decompose(e->lhs, !negated, atoms, opaque, equalities);
       return;
     case ExprKind::kBool: {
       const bool conj = (e->bool_op() == ir::BoolOp::kAnd) != negated;
       if (conj) {
         // a && b, or De Morgan'd !(a || b).
-        decompose(e->lhs, negated, atoms, opaque);
-        decompose(e->rhs, negated, atoms, opaque);
+        decompose(e->lhs, negated, atoms, opaque, equalities);
+        decompose(e->rhs, negated, atoms, opaque, equalities);
         return;
       }
-      // A disjunction: only the single-field value-set shape is tractable.
+      // A disjunction: tractable when it constrains one field only.
       Atom a;
-      if (!classify_value_set(e, a)) break;
-      if (!negated) {
+      if (!field_values(e, negated, a.field, a.width, a.set)) break;
+      if (a.set.empty()) {
+        atoms.push_back(Atom{});  // constant false
+      } else if (!(a.set == IntervalList::full(a.width))) {
         atoms.push_back(std::move(a));
-        return;
-      }
-      // !(f IN S): one exclusion atom per member.
-      Atom ne = a;
-      ne.set.clear();
-      ne.op = CmpOp::kNe;
-      for (uint64_t v : a.set) {
-        ne.value = v;
-        atoms.push_back(ne);
       }
       return;
     }
@@ -153,6 +203,7 @@ void decompose(ExprRef e, bool negated, std::vector<Atom>& atoms,
         atoms.push_back(std::move(a));
         return;
       }
+      if (field_equality(e, negated, equalities)) return;
       break;
     }
     default:
@@ -166,26 +217,107 @@ void decompose(ExprRef e, bool negated, std::vector<Atom>& atoms,
 
 }  // namespace
 
+IntervalList IntervalList::from_unsorted(std::vector<Interval>& ivs) {
+  std::sort(ivs.begin(), ivs.end(), [](const Interval& a, const Interval& b) {
+    return a.lo < b.lo;
+  });
+  IntervalList out;
+  for (const Interval& i : ivs) out.append(i);
+  return out;
+}
+
+bool IntervalList::contains(uint64_t v) const noexcept {
+  if (size_ == 0 || v < first_.lo) return false;
+  if (v <= first_.hi) return true;
+  auto it = std::upper_bound(
+      rest_.begin(), rest_.end(), v,
+      [](uint64_t x, const Interval& i) { return x < i.lo; });
+  return it != rest_.begin() && v <= std::prev(it)->hi;
+}
+
+bool IntervalList::operator==(const IntervalList& o) const noexcept {
+  return size_ == o.size_ && (size_ == 0 || first_ == o.first_) &&
+         rest_ == o.rest_;
+}
+
+void IntervalList::append(Interval i) {
+  if (size_ == 0) {
+    first_ = i;
+    size_ = 1;
+    return;
+  }
+  Interval& last = size_ == 1 ? first_ : rest_.back();
+  // Overlapping or adjacent (written to avoid overflow at the maximum).
+  if (i.lo <= last.hi || i.lo - last.hi == 1) {
+    last.hi = std::max(last.hi, i.hi);
+    return;
+  }
+  rest_.push_back(i);
+  ++size_;
+}
+
+IntervalList intersect(const IntervalList& a, const IntervalList& b) {
+  IntervalList out;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const Interval x = a[i];
+    const Interval y = b[j];
+    const uint64_t lo = std::max(x.lo, y.lo);
+    const uint64_t hi = std::min(x.hi, y.hi);
+    if (lo <= hi) out.append(Interval{lo, hi});
+    if (x.hi < y.hi) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+IntervalList complement(const IntervalList& a, int width) {
+  const uint64_t max = util::mask_bits(width);
+  IntervalList out;
+  uint64_t next = 0;  // smallest value not yet covered
+  for (size_t k = 0; k < a.size(); ++k) {
+    const Interval i = a[k];
+    if (i.lo > next) out.append(Interval{next, i.lo - 1});
+    if (i.hi >= max) return out;
+    next = i.hi + 1;
+  }
+  out.append(Interval{next, max});
+  return out;
+}
+
 bool Atom::is_exact_mask() const noexcept {
   return util::truncate(mask, width) == util::mask_bits(width);
 }
 
 void decompose_conjunction(ir::ExprRef e, std::vector<Atom>& atoms,
-                           std::vector<ir::ExprRef>& opaque) {
+                           std::vector<ir::ExprRef>& opaque,
+                           Equalities* equalities) {
   if (e == nullptr) return;
-  decompose(e, false, atoms, opaque);
+  decompose(e, false, atoms, opaque, equalities);
 }
 
 Atom negate_atom(const Atom& a) {
   Atom n = a;
-  n.op = flipped(a.op);
+  if (a.set.empty()) {
+    n.op = flipped(a.op);
+    return n;
+  }
+  n.set = complement(a.set, a.width);
+  if (n.set.empty()) {
+    // `a` held every value: its negation is the constantly false compare.
+    n.op = CmpOp::kLt;
+    n.mask = util::mask_bits(a.width);
+    n.value = 0;
+  }
   return n;
 }
 
 bool atom_holds(uint64_t v, const Atom& a) noexcept {
-  if (!a.set.empty()) {
-    return std::binary_search(a.set.begin(), a.set.end(), v);
-  }
+  if (!a.set.empty()) return a.set.contains(v);
   const bool eqish = a.op == CmpOp::kEq || a.op == CmpOp::kNe;
   return ir::apply_cmp(a.op, eqish ? (v & a.mask) : v, a.value);
 }
@@ -203,17 +335,31 @@ constexpr uint64_t mask_upto(int h) noexcept {
 
 void Domain::require(const Atom& a) {
   if (!a.set.empty()) {
-    require_value_set(a.set);
+    require_within(a.set);
     return;
   }
   switch (a.op) {
     case CmpOp::kEq: require_masked_eq(a.mask, a.value); break;
     case CmpOp::kNe: require_masked_ne(a.mask, a.value); break;
-    case CmpOp::kLt: require_lt(a.value); break;
-    case CmpOp::kLe: require_le(a.value); break;
-    case CmpOp::kGt: require_gt(a.value); break;
-    case CmpOp::kGe: require_ge(a.value); break;
+    default: require_within(compare_values(a.op, a.value, width_)); break;
   }
+}
+
+void Domain::intersect(const Domain& o) {
+  contradictory_ = contradictory_ || o.contradictory_;
+  if (contradictory_) return;
+  const uint64_t both = forced_mask_ & o.forced_mask_;
+  if ((forced_val_ & both) != (o.forced_val_ & both)) {
+    contradictory_ = true;
+    return;
+  }
+  forced_mask_ |= o.forced_mask_;
+  forced_val_ |= o.forced_val_;
+  for (const MaskedNe& ne : o.excluded_) {
+    require_masked_ne(ne.mask, ne.value);
+    if (contradictory_) return;
+  }
+  require_within(o.values_);
 }
 
 void Domain::require_masked_eq(uint64_t mask, uint64_t value) {
@@ -232,6 +378,7 @@ void Domain::require_masked_eq(uint64_t mask, uint64_t value) {
   }
   forced_mask_ |= mask;
   forced_val_ |= value;
+  check_forced_value();
 }
 
 void Domain::require_masked_ne(uint64_t mask, uint64_t value) {
@@ -254,51 +401,27 @@ void Domain::require_masked_ne(uint64_t mask, uint64_t value) {
   excluded_.push_back({mask, value});
 }
 
-void Domain::require_value_set(const std::vector<uint64_t>& values) {
-  std::vector<uint64_t> v;
-  for (uint64_t x : values) v.push_back(util::truncate(x, width_));
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  if (!has_allowed_) {
-    has_allowed_ = true;
-    allowed_ = std::move(v);
-  } else {
-    std::vector<uint64_t> inter;
-    std::set_intersection(allowed_.begin(), allowed_.end(), v.begin(), v.end(),
-                          std::back_inserter(inter));
-    allowed_ = std::move(inter);
-  }
-  if (allowed_.empty()) contradictory_ = true;
-}
-
-void Domain::require_ge(uint64_t lo) {
-  lo = util::truncate(lo, width_);
-  if (lo > lo_) lo_ = lo;
-  if (lo_ > hi_) contradictory_ = true;
-}
-
-void Domain::require_le(uint64_t hi) {
-  hi = util::truncate(hi, width_);
-  if (hi < hi_) hi_ = hi;
-  if (lo_ > hi_) contradictory_ = true;
-}
-
-void Domain::require_gt(uint64_t v) {
-  v = util::truncate(v, width_);
-  if (v == util::mask_bits(width_)) {
+void Domain::require_within(const IntervalList& s) {
+  values_ = smt::intersect(values_, s);
+  if (values_.empty()) {
     contradictory_ = true;
     return;
   }
-  require_ge(v + 1);
+  check_forced_value();
 }
 
-void Domain::require_lt(uint64_t v) {
-  v = util::truncate(v, width_);
-  if (v == 0) {
+void Domain::check_forced_value() {
+  if (forced_mask_ != util::mask_bits(width_)) return;
+  if (!values_.contains(forced_val_) || excluded(forced_val_)) {
     contradictory_ = true;
-    return;
   }
-  require_le(v - 1);
+}
+
+bool Domain::excluded(uint64_t v) const noexcept {
+  for (const MaskedNe& ne : excluded_) {
+    if ((v & ne.mask) == ne.value) return true;
+  }
+  return false;
 }
 
 std::optional<uint64_t> Domain::next_forced_match(uint64_t from) const {
@@ -329,35 +452,22 @@ std::optional<uint64_t> Domain::next_forced_match(uint64_t from) const {
 std::optional<uint64_t> Domain::pick_value(bool& decided) const {
   decided = true;
   if (contradictory_) return std::nullopt;
-  auto satisfies_rest = [&](uint64_t v) {
-    if (v < lo_ || v > hi_) return false;
-    if ((v & forced_mask_) != forced_val_) return false;
-    for (const MaskedNe& ne : excluded_) {
-      if ((v & ne.mask) == ne.value) return false;
-    }
-    return true;
-  };
-  if (has_allowed_) {
-    for (uint64_t v : allowed_) {
-      if (satisfies_rest(v)) return v;
-    }
-    return std::nullopt;
-  }
-  std::optional<uint64_t> v = next_forced_match(lo_);
-  for (int attempt = 0; attempt < kPickAttempts; ++attempt) {
-    if (!v || *v > hi_) return std::nullopt;
-    bool ok = true;
-    for (const MaskedNe& ne : excluded_) {
-      if ((*v & ne.mask) == ne.value) {
-        ok = false;
-        break;
+  // Ascending: per interval, the forced-bit matches from its low end.
+  // Each match an exclusion rejects costs one attempt of the budget.
+  int attempts = 0;
+  for (size_t k = 0; k < values_.size(); ++k) {
+    const Interval iv = values_[k];
+    std::optional<uint64_t> v = next_forced_match(iv.lo);
+    while (v && *v <= iv.hi) {
+      if (!excluded(*v)) return v;
+      if (++attempts == kPickAttempts) {
+        decided = false;  // budget exhausted; caller must use the SAT core
+        return std::nullopt;
       }
+      if (*v == iv.hi) break;
+      v = next_forced_match(*v + 1);
     }
-    if (ok) return v;
-    if (*v == util::mask_bits(width_)) return std::nullopt;
-    v = next_forced_match(*v + 1);
   }
-  decided = false;  // budget exhausted; caller must use the SAT core
   return std::nullopt;
 }
 

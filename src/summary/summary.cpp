@@ -13,20 +13,6 @@
 
 namespace meissa::summary {
 
-namespace {
-
-// Sorts fields by name. FieldIds are assigned in interning order, which is
-// scheduling-dependent when explorations run concurrently; names are not,
-// so every ordering decision that shapes the summarized graph uses names.
-void sort_fields_by_name(std::vector<ir::FieldId>& fs,
-                         const ir::FieldTable& fields) {
-  std::sort(fs.begin(), fs.end(), [&](ir::FieldId a, ir::FieldId b) {
-    return fields.name(a) < fields.name(b);
-  });
-}
-
-}  // namespace
-
 PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
                                   cfg::NodeId target,
                                   const PreconditionOptions& popts) {
@@ -131,7 +117,9 @@ EntryState entry_state(ir::Context& ctx, const PreCondition& pc,
     return ctx.arena.field(at, width);
   };
   std::vector<ir::FieldId> tops(pc.tops.begin(), pc.tops.end());
-  sort_fields_by_name(tops, ctx.fields);
+  // By name: FieldIds follow interning order, which depends on thread
+  // scheduling; every order that shapes the summarized graph uses names.
+  ctx.fields.sort_by_name(tops);
   for (ir::FieldId f : tops) {
     ir::ExprRef at_var = snapshot(f);
     auto vs = pc.value_sets.find(f);
@@ -229,7 +217,7 @@ class PathEncoder {
       auto it = snapshot_of_.find(f);
       if (it != snapshot_of_.end()) snaps.push_back(f);
     }
-    sort_fields_by_name(snaps, ctx_.fields);
+    ctx_.fields.sort_by_name(snaps);
     for (ir::FieldId at : snaps) {
       ir::FieldId orig = snapshot_of_.at(at);
       link_next(g_.add(ir::Stmt::assign(at, ctx_.var(orig))));

@@ -43,6 +43,14 @@ apps::AppBundle multi_switch_app(ir::Context& ctx) {
   return apps::make_gateway(ctx, cfg);
 }
 
+// The ACL app's final DFS still sends checks to the SAT core (its
+// cross-field disjunctions are opaque to the domain fast path), so a
+// conflict budget limits it and its checks reach the path-condition
+// cache; the gateways' checks are all decided without the SAT core.
+apps::AppBundle acl_app(ir::Context& ctx) {
+  return apps::make_acl(ctx, 4, 4);
+}
+
 // One name-based line per template: structural identity (node-id path —
 // summarized node ids are thread-count-independent because graph splices
 // are sequential) plus the rendered path condition (field names).
@@ -179,7 +187,15 @@ TEST(Determinism, DegradedGenerationIdenticalAcrossThreadCounts) {
   driver::GenOptions opts;
   opts.smt_budget.max_conflicts = 1;
   opts.smt_budget.max_propagations = 1;
-  expect_identical_across_threads(multi_switch_app, opts);
+  {
+    // The budget does degrade this app (else the comparison is vacuous).
+    ir::Context ctx;
+    apps::AppBundle app = acl_app(ctx);
+    driver::Generator gen(ctx, app.dp, app.rules, opts);
+    (void)gen.generate();
+    ASSERT_GT(gen.stats().engine.degraded_paths, 0u);
+  }
+  expect_identical_across_threads(acl_app, opts);
 }
 
 TEST(Determinism, NoSummaryDfsIdenticalAcrossThreadCounts) {
@@ -395,18 +411,21 @@ TEST(Determinism, SolverCacheActuallyHits) {
   // sets (a single sequential DFS never repeats a key — the conds stack
   // is unique along the tree — but shard-forced prefixes are re-checked
   // per shard), so a cached run must record hits and strictly fewer
-  // backend checks than the cache-off run. gw-2 is too small for this:
-  // static pruning decides its prefix checks, leaving all-unique keys.
+  // backend checks than the cache-off run. Both runs turn static pruning
+  // off: PathEnv's verdicts decide every final-DFS check of gw-4, so with
+  // it on no check reaches the cache.
   ir::Context ctx;
   apps::AppBundle app = multi_switch_app(ctx);
-  driver::Generator gen(ctx, app.dp, app.rules, {});
+  driver::GenOptions on;
+  on.static_pruning = false;
+  driver::Generator gen(ctx, app.dp, app.rules, on);
   (void)gen.generate();
   EXPECT_GT(gen.stats().engine.pc_cache_hits, 0u);
   EXPECT_GT(gen.stats().engine.pc_cache_misses, 0u);
 
   ir::Context ctx_off;
   apps::AppBundle app_off = multi_switch_app(ctx_off);
-  driver::GenOptions off;
+  driver::GenOptions off = on;
   off.pc_cache = false;
   off.solver_portfolio = false;
   driver::Generator gen_off(ctx_off, app_off.dp, app_off.rules, off);
@@ -425,8 +444,17 @@ TEST(Determinism, SolverCacheAutoDisabledUnderLimitedBudget) {
   // With a limited per-check budget a cached verdict could mask a budget-
   // dependent kUnknown and make the degraded-coverage split scheduling-
   // dependent; the engine must not consult the cache at all.
+  {
+    // Unlimited, this app does consult the cache (else the zeros below
+    // would hold without the budget too).
+    ir::Context ctx;
+    apps::AppBundle app = acl_app(ctx);
+    driver::Generator gen(ctx, app.dp, app.rules, {});
+    (void)gen.generate();
+    ASSERT_GT(gen.stats().engine.pc_cache_misses, 0u);
+  }
   ir::Context ctx;
-  apps::AppBundle app = nat_gateway_app(ctx);
+  apps::AppBundle app = acl_app(ctx);
   driver::GenOptions opts;  // pc_cache defaults on...
   opts.smt_budget.max_conflicts = 1;  // ...but the budget disables it
   driver::Generator gen(ctx, app.dp, app.rules, opts);

@@ -146,10 +146,13 @@ class Fig8Engine : public ::testing::Test {
 
 TEST_F(Fig8Engine, EarlyTerminationPrunesSolverInfeasibleBranches) {
   // proto == 6 vs the UDP parse case needs the solver, not just folding:
-  // early termination must cut those subtrees.
-  EngineOptions lazy;
+  // early termination must cut those subtrees. PathEnv's static verdicts
+  // refute them too, so both engines run without static pruning.
+  EngineOptions eager_opts;
+  eager_opts.static_pruning = false;
+  EngineOptions lazy = eager_opts;
   lazy.early_termination = false;
-  Engine eager(ctx, g);
+  Engine eager(ctx, g, eager_opts);
   Engine lazy_eng(ctx, g, lazy);
   std::vector<cfg::Path> p1, p2;
   eager.run([&](const PathResult& r) { p1.push_back(r.path); });

@@ -122,8 +122,10 @@ TEST(FaultStress, EverythingAtOnceStillConverges) {
 TEST(FaultStress, TinySmtBudgetRunsEndToEndWithoutThrowing) {
   // The CI fault job's budget leg: a starvation SMT budget must degrade
   // coverage, not correctness — every case that is generated still passes.
+  // ACL: its final DFS still reaches the SAT core, which the budget limits
+  // (the gateways' checks are decided without it).
   ir::Context ctx;
-  apps::AppBundle app = nat_gateway_app(ctx);
+  apps::AppBundle app = apps::make_acl(ctx, 4, 4);
   sim::Device device(sim::compile(app.dp, app.rules, ctx), ctx);
   driver::TestRunOptions opts;
   opts.gen.smt_budget.max_conflicts = 1;
@@ -133,6 +135,7 @@ TEST(FaultStress, TinySmtBudgetRunsEndToEndWithoutThrowing) {
   EXPECT_EQ(report.failed, 0u) << report.str();
   EXPECT_TRUE(report.quarantined.empty());
   EXPECT_EQ(report.gen.engine.valid_paths, report.templates);
+  EXPECT_GT(report.gen.engine.degraded_paths, 0u);  // the budget did bite
 }
 
 }  // namespace

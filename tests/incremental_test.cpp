@@ -50,6 +50,31 @@ std::vector<std::string> full_regen_sigs(const p4::DataPlane& dp,
   return sigs;
 }
 
+// IncrementalSession::run renders each template's coverage signature once
+// and appends the path to it; the result must equal full_signature, which
+// m4delta and the benches call.
+TEST(Incremental, ReportedSignaturesEqualFullSignatures) {
+  ir::Context ctx;
+  apps::AppBundle app = gateway(ctx);
+  IncrementalSession session(ctx, app.dp);
+  p4::RuleSet rules = app.rules;
+  for (int update = 0; update < 3; ++update) {
+    if (update > 0) {
+      ASSERT_TRUE(remove_last_entry(rules, rules.entries.back().table));
+    }
+    UpdateReport rep = session.run(rules);
+    ASSERT_FALSE(rep.templates.empty());
+    // A generator of the same rules carries the same instance table.
+    Generator gen(ctx, app.dp, rules, GenOptions{});
+    std::vector<std::string> want;
+    for (const sym::TestCaseTemplate& t : rep.templates) {
+      want.push_back(IncrementalSession::full_signature(ctx, gen.graph(), t));
+    }
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(rep.full_sigs, want) << "update " << update;
+  }
+}
+
 TEST(Incremental, GatewayUpdateIsByteIdenticalAndReusesCleanRegions) {
   ir::Context ctx;
   apps::AppBundle app = gateway(ctx);

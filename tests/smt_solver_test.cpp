@@ -144,13 +144,17 @@ TEST(Decompose, ValueSetPattern) {
   auto eq = [&](uint64_t v) {
     return ctx.arena.cmp(ir::CmpOp::kEq, ctx.var(a), ctx.arena.constant(v, 8));
   };
-  ir::ExprRef e = ctx.arena.bor(ctx.arena.bor(eq(1), eq(2)), eq(3));
+  ir::ExprRef e =
+      ctx.arena.bor(ctx.arena.bor(eq(1), eq(2)), ctx.arena.bor(eq(3), eq(9)));
   std::vector<Atom> atoms;
   std::vector<ir::ExprRef> opaque;
   decompose_conjunction(e, atoms, opaque);
   ASSERT_EQ(atoms.size(), 1u);
   EXPECT_TRUE(opaque.empty());
-  EXPECT_EQ(atoms[0].set.size(), 3u);
+  // {1, 2, 3, 9}: adjacent members merge into one interval.
+  ASSERT_EQ(atoms[0].set.size(), 2u);
+  EXPECT_EQ(atoms[0].set[0], (Interval{1, 3}));
+  EXPECT_EQ(atoms[0].set[1], (Interval{9, 9}));
 }
 
 TEST(Decompose, CrossFieldDisjunctionStaysOpaque) {
@@ -187,6 +191,272 @@ TEST(Decompose, OutOfMaskEqualityIsAlwaysFalse) {
     EXPECT_FALSE(atom_holds(v, atoms[0])) << v;
     EXPECT_TRUE(atom_holds(v, negate_atom(atoms[0]))) << v;
   }
+}
+
+TEST(Decompose, RangeMissIsOneMembershipAtom) {
+  // The miss arm of a range entry: id < 0x1000 || id > 0x1fff.
+  ir::Context ctx;
+  ir::FieldId f = ctx.fields.intern("id", 16);
+  ir::ExprRef e = ctx.arena.bor(
+      ctx.arena.cmp(CmpOp::kLt, ctx.var(f), ctx.arena.constant(0x1000, 16)),
+      ctx.arena.cmp(CmpOp::kGt, ctx.var(f), ctx.arena.constant(0x1fff, 16)));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 1u);
+  EXPECT_TRUE(opaque.empty());
+  EXPECT_EQ(atoms[0].field, f);
+  ASSERT_EQ(atoms[0].set.size(), 2u);
+  EXPECT_EQ(atoms[0].set[0], (Interval{0, 0xfff}));
+  EXPECT_EQ(atoms[0].set[1], (Interval{0x2000, 0xffff}));
+  const Atom hit = negate_atom(atoms[0]);
+  ASSERT_EQ(hit.set.size(), 1u);
+  EXPECT_EQ(hit.set[0], (Interval{0x1000, 0x1fff}));
+  for (uint64_t v : {0x0ull, 0xfffull, 0x1000ull, 0x1fffull, 0x2000ull,
+                     0xffffull}) {
+    const bool miss = v < 0x1000 || v > 0x1fff;
+    EXPECT_EQ(atom_holds(v, atoms[0]), miss) << v;
+    EXPECT_EQ(atom_holds(v, hit), !miss) << v;
+  }
+}
+
+TEST(Decompose, OrOfAndsAndNestedNegationsOnOneField) {
+  // (f >= 10 && f <= 20) || !(f != 40 && !(f > 250)): [10, 20] u {40}
+  // u [251, 255].
+  ir::Context ctx;
+  ir::FieldId f = ctx.fields.intern("f", 8);
+  auto cmp = [&](CmpOp op, uint64_t v) {
+    return ctx.arena.cmp(op, ctx.var(f), ctx.arena.constant(v, 8));
+  };
+  ir::ExprRef e = ctx.arena.bor(
+      ctx.arena.band(cmp(CmpOp::kGe, 10), cmp(CmpOp::kLe, 20)),
+      ctx.arena.bnot(ctx.arena.band(cmp(CmpOp::kNe, 40),
+                                    ctx.arena.bnot(cmp(CmpOp::kGt, 250)))));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  ASSERT_EQ(atoms.size(), 1u);
+  EXPECT_TRUE(opaque.empty());
+  ASSERT_EQ(atoms[0].set.size(), 3u);
+  EXPECT_EQ(atoms[0].set[0], (Interval{10, 20}));
+  EXPECT_EQ(atoms[0].set[1], (Interval{40, 40}));
+  EXPECT_EQ(atoms[0].set[2], (Interval{251, 255}));
+}
+
+TEST(Decompose, MaskedDisjunctionStaysOpaque) {
+  // A ternary leaf is not an interval: the disjunction stays opaque.
+  ir::Context ctx;
+  ir::FieldId f = ctx.fields.intern("f", 8);
+  ir::ExprRef e = ctx.arena.bor(
+      ctx.arena.masked_eq(ctx.var(f), 0xf0, 0x10),
+      ctx.arena.cmp(CmpOp::kLt, ctx.var(f), ctx.arena.constant(3, 8)));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  EXPECT_TRUE(atoms.empty());
+  ASSERT_EQ(opaque.size(), 1u);
+}
+
+TEST(Decompose, CrossFieldRangeDisjunctionStaysOpaque) {
+  // a < 3 || (a > 7 && b == 1): the second field makes it opaque.
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId b = ctx.fields.intern("b", 8);
+  ir::ExprRef e = ctx.arena.bor(
+      ctx.arena.cmp(CmpOp::kLt, ctx.var(a), ctx.arena.constant(3, 8)),
+      ctx.arena.band(
+          ctx.arena.cmp(CmpOp::kGt, ctx.var(a), ctx.arena.constant(7, 8)),
+          ctx.arena.cmp(CmpOp::kEq, ctx.var(b), ctx.arena.constant(1, 8))));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  decompose_conjunction(e, atoms, opaque);
+  EXPECT_TRUE(atoms.empty());
+  ASSERT_EQ(opaque.size(), 1u);
+}
+
+TEST(Decompose, FieldEqualitiesLandInTheirOwnList) {
+  ir::Context ctx;
+  ir::FieldId a = ctx.fields.intern("a", 8);
+  ir::FieldId b = ctx.fields.intern("b", 8);
+  ir::ExprRef eq = ctx.arena.cmp(CmpOp::kEq, ctx.var(a), ctx.var(b));
+  ir::ExprRef not_ne =
+      ctx.arena.bnot(ctx.arena.cmp(CmpOp::kNe, ctx.var(b), ctx.var(a)));
+  ir::ExprRef ne = ctx.arena.bnot(eq);
+  ir::ExprRef arith = ctx.arena.cmp(
+      CmpOp::kEq, ctx.var(a),
+      ctx.arena.arith(ArithOp::kAdd, ctx.var(b), ctx.arena.constant(1, 8)));
+  std::vector<Atom> atoms;
+  std::vector<ir::ExprRef> opaque;
+  std::vector<FieldEquality> eqs;
+  for (ir::ExprRef e : {eq, not_ne, ne, arith}) {
+    decompose_conjunction(e, atoms, opaque, &eqs);
+  }
+  EXPECT_TRUE(atoms.empty());
+  ASSERT_EQ(eqs.size(), 2u);  // a == b and !(b != a)
+  EXPECT_EQ(eqs[0].a, a);
+  EXPECT_EQ(eqs[0].b, b);
+  EXPECT_EQ(eqs[1].a, b);
+  EXPECT_EQ(eqs[1].width, 8);
+  EXPECT_EQ(opaque.size(), 2u);  // a != b; a == b + 1
+  // Without the list an equality is opaque, as PathEnv and m4lint see it.
+  opaque.clear();
+  decompose_conjunction(eq, atoms, opaque);
+  EXPECT_EQ(opaque.size(), 1u);
+}
+
+// ------------------------------------------------------ Intervals, Domain
+
+TEST(IntervalList, ComplementIsExactAtBothEdges) {
+  const int w = 4;
+  EXPECT_EQ(complement(IntervalList(), w), IntervalList::full(w));
+  EXPECT_TRUE(complement(IntervalList::full(w), w).empty());
+  EXPECT_EQ(complement(IntervalList(Interval{0, 0}), w),
+            IntervalList(Interval{1, 15}));
+  EXPECT_EQ(complement(IntervalList(Interval{15, 15}), w),
+            IntervalList(Interval{0, 14}));
+  std::vector<Interval> ivs{{9, 9}, {3, 5}, {4, 4}, {6, 6}};
+  const IntervalList s = IntervalList::from_unsorted(ivs);  // [3,6] u {9}
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s[0], (Interval{3, 6}));
+  const IntervalList c = complement(s, w);
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_EQ(c[0], (Interval{0, 2}));
+  EXPECT_EQ(c[1], (Interval{7, 8}));
+  EXPECT_EQ(c[2], (Interval{10, 15}));
+  EXPECT_EQ(complement(c, w), s);
+  for (uint64_t v = 0; v < 16; ++v) EXPECT_NE(s.contains(v), c.contains(v));
+  // The 64-bit maximum: no overflow past the last value.
+  const uint64_t max = ~uint64_t{0};
+  EXPECT_EQ(complement(IntervalList(Interval{max, max}), 64),
+            IntervalList(Interval{0, max - 1}));
+  EXPECT_EQ(complement(IntervalList(Interval{0, max - 1}), 64),
+            IntervalList(Interval{max, max}));
+}
+
+TEST(IntervalList, IntersectionKeepsTheCommonValues) {
+  std::vector<Interval> a{{0, 4}, {8, 12}, {20, 30}};
+  std::vector<Interval> b{{3, 9}, {12, 25}};
+  const IntervalList x = intersect(IntervalList::from_unsorted(a),
+                                   IntervalList::from_unsorted(b));
+  ASSERT_EQ(x.size(), 4u);
+  EXPECT_EQ(x[0], (Interval{3, 4}));
+  EXPECT_EQ(x[1], (Interval{8, 9}));
+  EXPECT_EQ(x[2], (Interval{12, 12}));
+  EXPECT_EQ(x[3], (Interval{20, 25}));
+  EXPECT_TRUE(intersect(x, IntervalList()).empty());
+}
+
+TEST(IntervalList, MovedFromListReadsAsEmpty) {
+  std::vector<Interval> ivs{{1, 2}, {5, 6}, {9, 9}};
+  IntervalList a = IntervalList::from_unsorted(ivs);
+  IntervalList b(std::move(a));
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(a.contains(1));
+  IntervalList c;
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.back(), (Interval{9, 9}));
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(b.contains(9));
+  b.append(Interval{4, 4});  // a moved-from list is usable again
+  EXPECT_EQ(b, IntervalList(Interval{4, 4}));
+}
+
+Atom member_atom(ir::FieldId f, int width, IntervalList set) {
+  Atom a;
+  a.field = f;
+  a.width = width;
+  a.set = std::move(set);
+  return a;
+}
+
+Atom compare_atom(ir::FieldId f, int width, CmpOp op, uint64_t value) {
+  Atom a;
+  a.field = f;
+  a.width = width;
+  a.op = op;
+  a.mask = util::mask_bits(width);
+  a.value = value;
+  return a;
+}
+
+TEST(Domain, OnePointListsAtZeroAndTheWidthsMaximum) {
+  bool decided = false;
+  Domain zero(8);
+  zero.require(member_atom(0, 8, IntervalList(Interval{0, 0})));
+  EXPECT_EQ(zero.pick_value(decided), std::optional<uint64_t>(0));
+  EXPECT_TRUE(decided);
+  Domain top(8);
+  top.require(member_atom(0, 8, IntervalList(Interval{255, 255})));
+  top.require(compare_atom(0, 8, CmpOp::kGt, 254));
+  EXPECT_EQ(top.pick_value(decided), std::optional<uint64_t>(255));
+  // Excluding the one point empties each list.
+  zero.require(compare_atom(0, 8, CmpOp::kGt, 0));
+  EXPECT_TRUE(zero.contradictory());
+  top.require(compare_atom(0, 8, CmpOp::kNe, 255));
+  EXPECT_EQ(top.pick_value(decided), std::nullopt);
+  EXPECT_TRUE(decided);
+  // An empty list (f < 0) and a forced value outside the list are
+  // contradictions before any witness search.
+  Domain none(8);
+  none.require(compare_atom(0, 8, CmpOp::kLt, 0));
+  EXPECT_TRUE(none.contradictory());
+  Domain miss(16);
+  miss.require(negate_atom(member_atom(0, 16, IntervalList(Interval{16, 31}))));
+  miss.require(compare_atom(0, 16, CmpOp::kEq, 20));
+  EXPECT_TRUE(miss.contradictory());
+}
+
+TEST(Domain, ComplementedListsPickTheSmallestValueOutside) {
+  bool decided = false;
+  Domain d(8);
+  d.require(negate_atom(member_atom(0, 8, IntervalList(Interval{0, 9}))));
+  d.require(compare_atom(0, 8, CmpOp::kNe, 10));
+  EXPECT_EQ(d.pick_value(decided), std::optional<uint64_t>(11));
+  // Forced bits skip whole intervals: the low nibble 0xf first fits at 15.
+  d.require(negate_atom(member_atom(0, 8, IntervalList(Interval{12, 14}))));
+  Atom nib;
+  nib.field = 0;
+  nib.width = 8;
+  nib.op = CmpOp::kEq;
+  nib.mask = 0x0f;
+  nib.value = 0x0f;
+  d.require(nib);
+  EXPECT_EQ(d.pick_value(decided), std::optional<uint64_t>(15));
+}
+
+TEST(Domain, IntersectionConjoinsEveryConstraint) {
+  bool decided = false;
+  Domain a(8);
+  a.require(compare_atom(0, 8, CmpOp::kGe, 10));
+  a.require(compare_atom(0, 8, CmpOp::kNe, 10));
+  Domain b(8);
+  b.require(negate_atom(member_atom(0, 8, IntervalList(Interval{11, 12}))));
+  b.require(compare_atom(0, 8, CmpOp::kLe, 20));
+  a.intersect(b);
+  EXPECT_EQ(a.pick_value(decided), std::optional<uint64_t>(13));
+  Domain odd(8);
+  Atom low;
+  low.field = 0;
+  low.width = 8;
+  low.op = CmpOp::kEq;
+  low.mask = 1;
+  low.value = 1;
+  odd.require(low);
+  a.intersect(odd);
+  EXPECT_EQ(a.pick_value(decided), std::optional<uint64_t>(13));
+  Domain even(8);
+  low.value = 0;
+  even.require(low);
+  a.intersect(even);  // forced bit 0 both 1 and 0
+  EXPECT_TRUE(a.contradictory());
+  Domain high(8);
+  high.require(compare_atom(0, 8, CmpOp::kGt, 20));
+  Domain c(8);
+  c.require(compare_atom(0, 8, CmpOp::kLe, 20));
+  c.intersect(high);
+  EXPECT_TRUE(c.contradictory());
 }
 
 // --------------------------------------------------------------- Fast path
@@ -257,6 +527,43 @@ TEST_F(BvSolverTest, ValueSetDisjunctionsDecideInFastPath) {
   solver.add(ctx.arena.cmp(ir::CmpOp::kGt, port, c(300, 9)));
   EXPECT_EQ(solver.check(), CheckResult::kUnsat);
   solver.pop();
+}
+
+TEST_F(BvSolverTest, RangeMissDecidesInFastPath) {
+  // The miss arm of a range entry, then a bound that leaves its low edge.
+  ExprRef id = fv("id", 16);
+  solver.add(ctx.arena.bor(ctx.arena.cmp(CmpOp::kLt, id, c(0x1000, 16)),
+                           ctx.arena.cmp(CmpOp::kGt, id, c(0x1fff, 16))));
+  solver.add(ctx.arena.cmp(CmpOp::kGe, id, c(0xfff, 16)));
+  solver.add(ctx.arena.cmp(CmpOp::kNe, id, c(0xfff, 16)));
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  EXPECT_EQ(solver.model().at(id->field), 0x2000u);
+  solver.add(ctx.arena.cmp(CmpOp::kLe, id, c(0x1fff, 16)));
+  EXPECT_EQ(solver.check(), CheckResult::kUnsat);
+  EXPECT_EQ(solver.stats().sat_calls, 0u);
+}
+
+TEST_F(BvSolverTest, EqualityClassSharesOneWitness) {
+  // x == y == z: the class's domain is the intersection of the members'.
+  ExprRef x = fv("x", 8);
+  ExprRef y = fv("y", 8);
+  ExprRef z = fv("z", 8);
+  solver.add(ctx.arena.cmp(CmpOp::kEq, x, y));
+  solver.add(ctx.arena.cmp(CmpOp::kEq, z, y));
+  solver.add(ctx.arena.cmp(CmpOp::kGe, x, c(5, 8)));
+  solver.add(ctx.arena.cmp(CmpOp::kLe, y, c(7, 8)));
+  solver.add(ctx.arena.cmp(CmpOp::kNe, z, c(5, 8)));
+  ASSERT_EQ(solver.check(), CheckResult::kSat);
+  Model m = solver.model();
+  EXPECT_EQ(m.at(x->field), 6u);
+  EXPECT_EQ(m.at(y->field), 6u);
+  EXPECT_EQ(m.at(z->field), 6u);
+  solver.push();
+  solver.add(ctx.arena.cmp(CmpOp::kGt, z, c(7, 8)));  // disjoint from y
+  EXPECT_EQ(solver.check(), CheckResult::kUnsat);
+  solver.pop();
+  EXPECT_EQ(solver.check(), CheckResult::kSat);
+  EXPECT_EQ(solver.stats().sat_calls, 0u);  // pure fast path
 }
 
 TEST_F(BvSolverTest, ValueSetIntersectsWithExactMatch) {
@@ -377,89 +684,149 @@ TEST_F(BvSolverTest, DeepPushPopNesting) {
 
 // ----------------------------------------------- Cross-check vs brute force
 
-// Property test: random conjunctions over two 6-bit fields, compared with
-// exhaustive enumeration. Exercises fast path and SAT core both.
-// A random conjunct over two 6-bit fields x and y: a plain, masked or
-// cross-field compare, or a same-field value-set disjunction
-// (x == a || x == b || ...), each negated one time in four. Half the
-// constants come from [0, 8) so that bounds, equalities and set members
-// meet at their edges.
-ExprRef random_conjunct(ir::Context& ctx, util::Rng& rng, ExprRef x,
-                        ExprRef y) {
+// Property test: random conjunctions over a few narrow fields, compared
+// with exhaustive enumeration. Exercises fast path and SAT core both.
+//
+// The brute-force space: `vars` of `width` bits each, 12 bits in all, so
+// one assignment is one bit of a 4096-bit set (the first field in the
+// high bits).
+struct Space {
+  std::vector<ExprRef> vars;
+  int width = 0;
+
+  uint64_t value(size_t assignment, size_t k) const {
+    const size_t shift = static_cast<size_t>(width) * (vars.size() - 1 - k);
+    return (assignment >> shift) & util::mask_bits(width);
+  }
+  uint64_t value_of(size_t assignment, ir::FieldId f) const {
+    for (size_t k = 0; k < vars.size(); ++k) {
+      if (vars[k]->field == f) return value(assignment, k);
+    }
+    return 0;
+  }
+};
+
+using Models = std::bitset<4096>;
+
+// A random conjunct over the space's fields. Half the constants come from
+// [0, 8) so that bounds, equalities and set members meet at their edges.
+// Shapes: a plain, masked, arithmetic or cross-field compare; a
+// same-field value-set disjunction (f == a || f == b || ...); a
+// same-field range disjunction (f < a || f > b); a negated range
+// conjunction !(a <= f && f <= b); an or-of-ands interval union; a
+// nested negation over one field; a field equality (f == g). Each is
+// negated one time in four.
+ExprRef random_conjunct(ir::Context& ctx, util::Rng& rng, const Space& sp) {
+  const int w = sp.width;
   auto constant = [&]() {
-    return ctx.arena.constant(rng.chance(1, 2) ? rng.below(8) : rng.bits(6),
-                              6);
+    return ctx.arena.constant(rng.chance(1, 2) ? rng.below(8) : rng.bits(w),
+                              w);
+  };
+  auto pick = [&]() { return sp.vars[rng.below(sp.vars.size())]; };
+  auto range_of = [&](ExprRef f) {  // lo <= f && f <= hi
+    return ctx.arena.band(ctx.arena.cmp(CmpOp::kGe, f, constant()),
+                          ctx.arena.cmp(CmpOp::kLe, f, constant()));
   };
   ExprRef atom = nullptr;
-  if (rng.chance(1, 5)) {
-    ExprRef f = rng.chance(1, 2) ? x : y;
-    const int members = static_cast<int>(rng.range(2, 4));
-    for (int i = 0; i < members; ++i) {
-      ExprRef eq = ctx.arena.cmp(CmpOp::kEq, f, constant());
-      atom = atom == nullptr ? eq : ctx.arena.bor(atom, eq);
+  switch (rng.below(10)) {
+    case 0: {  // value set
+      ExprRef f = pick();
+      const int members = static_cast<int>(rng.range(2, 4));
+      for (int i = 0; i < members; ++i) {
+        ExprRef eq = ctx.arena.cmp(CmpOp::kEq, f, constant());
+        atom = atom == nullptr ? eq : ctx.arena.bor(atom, eq);
+      }
+      break;
     }
-  } else {
-    ExprRef lhs;
-    switch (rng.below(4)) {
-      case 0: lhs = x; break;
-      case 1: lhs = y; break;
-      case 2:
-        lhs = ctx.arena.arith(ArithOp::kAdd, x, y);
-        break;
-      default:
-        lhs = ctx.arena.arith(ArithOp::kAnd, x, constant());
-        break;
+    case 1: {  // range miss
+      ExprRef f = pick();
+      atom = ctx.arena.bor(
+          ctx.arena.cmp(rng.chance(1, 2) ? CmpOp::kLt : CmpOp::kLe, f,
+                        constant()),
+          ctx.arena.cmp(rng.chance(1, 2) ? CmpOp::kGt : CmpOp::kGe, f,
+                        constant()));
+      break;
     }
-    CmpOp op = static_cast<CmpOp>(rng.below(6));
-    atom = ctx.arena.cmp(op, lhs, constant());
+    case 2:  // negated range conjunction
+      atom = ctx.arena.bnot(range_of(pick()));
+      break;
+    case 3: {  // or-of-ands
+      ExprRef f = pick();
+      atom = ctx.arena.bor(range_of(f), range_of(f));
+      if (rng.chance(1, 2)) {
+        atom = ctx.arena.bor(atom, ctx.arena.cmp(CmpOp::kEq, f, constant()));
+      }
+      break;
+    }
+    case 4: {  // nested negation
+      ExprRef f = pick();
+      ExprRef inner = ctx.arena.bor(
+          ctx.arena.bnot(ctx.arena.cmp(static_cast<CmpOp>(rng.below(6)), f,
+                                       constant())),
+          ctx.arena.cmp(CmpOp::kEq, f, constant()));
+      atom = ctx.arena.bnot(ctx.arena.band(inner, ctx.arena.bnot(range_of(f))));
+      break;
+    }
+    case 5: {  // field equality
+      ExprRef f = pick();
+      ExprRef g = pick();
+      atom = ctx.arena.cmp(rng.chance(1, 4) ? CmpOp::kNe : CmpOp::kEq, f, g);
+      break;
+    }
+    default: {
+      ExprRef lhs;
+      switch (rng.below(4)) {
+        case 0:
+        case 1: lhs = pick(); break;
+        case 2: lhs = ctx.arena.arith(ArithOp::kAdd, pick(), pick()); break;
+        default: lhs = ctx.arena.arith(ArithOp::kAnd, pick(), constant());
+      }
+      atom = ctx.arena.cmp(static_cast<CmpOp>(rng.below(6)), lhs, constant());
+    }
   }
   if (rng.chance(1, 4)) atom = ctx.arena.bnot(atom);
   return atom;
 }
 
-// The assignments (bit 64 * x + y) of two 6-bit fields satisfying `e`.
-using Models = std::bitset<4096>;
-
-Models models_of(ExprRef e, ir::FieldId fx) {
+// The assignments of the space satisfying `e`.
+Models models_of(ExprRef e, const Space& sp) {
   Models m;
-  for (uint64_t vx = 0; vx < 64; ++vx) {
-    for (uint64_t vy = 0; vy < 64; ++vy) {
-      auto v = ir::eval_with(e, [&](ir::FieldId f) {
-        return std::optional<uint64_t>(f == fx ? vx : vy);
-      });
-      if (v && *v) m.set(vx * 64 + vy);
-    }
+  for (size_t i = 0; i < m.size(); ++i) {
+    auto v = ir::eval_with(e, [&](ir::FieldId f) {
+      return std::optional<uint64_t>(sp.value_of(i, f));
+    });
+    if (v && *v) m.set(i);
   }
   return m;
 }
 
-// Checks the decomposition of `c` against its models: the atoms are sound
-// conjuncts, they are exact when nothing was opaque, and each compare
-// atom's negation holds exactly where the atom does not.
+// Checks the decomposition of `c` against its models: the atoms and field
+// equalities are sound conjuncts, they are exact when nothing was opaque,
+// and each atom's negation holds exactly where the atom does not.
 void expect_decomposition_exact(ExprRef c, const Models& models,
-                                ir::FieldId fx) {
+                                const Space& sp) {
   std::vector<Atom> atoms;
   std::vector<ExprRef> opaque;
-  decompose_conjunction(c, atoms, opaque);
-  for (uint64_t vx = 0; vx < 64; ++vx) {
-    for (uint64_t vy = 0; vy < 64; ++vy) {
-      bool all = true;
-      for (const Atom& a : atoms) {
-        if (a.field == ir::kInvalidField) {
-          all = false;
-          continue;
-        }
-        const uint64_t v = a.field == fx ? vx : vy;
-        const bool holds = atom_holds(v, a);
-        all = all && holds;
-        if (a.set.empty()) {
-          ASSERT_NE(atom_holds(v, negate_atom(a)), holds);
-        }
+  std::vector<FieldEquality> eqs;
+  decompose_conjunction(c, atoms, opaque, &eqs);
+  for (size_t i = 0; i < models.size(); ++i) {
+    bool all = true;
+    for (const Atom& a : atoms) {
+      if (a.field == ir::kInvalidField) {
+        all = false;
+        continue;
       }
-      const bool model = models.test(vx * 64 + vy);
-      ASSERT_TRUE(all || !model) << "an atom excludes a model";
-      ASSERT_TRUE(all == model || !opaque.empty()) << "atoms are not exact";
+      const uint64_t v = sp.value_of(i, a.field);
+      const bool holds = atom_holds(v, a);
+      all = all && holds;
+      ASSERT_NE(atom_holds(v, negate_atom(a)), holds);
     }
+    for (const FieldEquality& e : eqs) {
+      all = all && sp.value_of(i, e.a) == sp.value_of(i, e.b);
+    }
+    const bool model = models.test(i);
+    ASSERT_TRUE(all || !model) << "a conjunct excludes a model";
+    ASSERT_TRUE(all == model || !opaque.empty()) << "conjuncts are not exact";
   }
 }
 
@@ -471,22 +838,27 @@ void expect_decomposition_exact(ExprRef c, const Models& models,
 // sat(C && c) == sat(C)); kSatisfiable => sat(C) implies sat(C && c).
 // Both consume the one smt::decompose_conjunction + Domain::require atom
 // language, whose decomposition of every c is checked against its models.
-TEST(BvSolverProperty, AgreesWithBruteForceOnRandomConjunctions) {
-  util::Rng rng(1234);
-  for (int round = 0; round < 200; ++round) {
+void expect_agreement_with_brute_force(uint64_t seed, int rounds,
+                                       int num_fields) {
+  static const char* const kNames[] = {"x", "y", "z"};
+  util::Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
     ir::Context ctx;
     BvSolver solver(ctx);
     analysis::PathEnv env(ctx);
-    ExprRef x = ctx.field_var("x", 6);
-    ExprRef y = ctx.field_var("y", 6);
+    Space sp;
+    sp.width = 12 / num_fields;
+    for (int k = 0; k < num_fields; ++k) {
+      sp.vars.push_back(ctx.field_var(kNames[k], sp.width));
+    }
     std::vector<Models> live{Models().set()};  // per scope, cumulative
     std::vector<analysis::PathEnv::Mark> marks;
     // Even rounds stay flat (one scope); odd rounds push and pop.
     const bool scoped = round % 2 == 1;
     const int steps = static_cast<int>(rng.range(1, scoped ? 14 : 5));
     for (int step = 0; step < steps; ++step) {
-      SCOPED_TRACE(testing::Message()
-                   << "round " << round << " step " << step);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round "
+                                      << round << " step " << step);
       if (scoped && !marks.empty() && rng.chance(1, 3)) {
         solver.pop();
         env.rollback(marks.back());
@@ -498,12 +870,12 @@ TEST(BvSolverProperty, AgreesWithBruteForceOnRandomConjunctions) {
           marks.push_back(env.mark());
           live.push_back(live.back());
         }
-        ExprRef c = random_conjunct(ctx, rng, x, y);
+        ExprRef c = random_conjunct(ctx, rng, sp);
         const Models before = live.back();
         const analysis::Verdict v = env.assume(c);
         solver.add(c);
-        const Models models = models_of(c, x->field);
-        expect_decomposition_exact(c, models, x->field);
+        const Models models = models_of(c, sp);
+        expect_decomposition_exact(c, models, sp);
         live.back() &= models;
         const bool sat_before = before.any();
         const bool sat_after = live.back().any();
@@ -528,15 +900,24 @@ TEST(BvSolverProperty, AgreesWithBruteForceOnRandomConjunctions) {
         // The model must satisfy the live conjunction; fields it leaves
         // unconstrained default to zero.
         Model m = solver.model();
-        auto value = [&](ExprRef f) {
+        size_t assignment = 0;
+        for (ExprRef f : sp.vars) {
           auto it = m.find(f->field);
-          return it == m.end() ? uint64_t{0} : it->second;
-        };
-        EXPECT_TRUE(live.back().test(value(x) * 64 + value(y)))
+          assignment = (assignment << sp.width) |
+                       (it == m.end() ? uint64_t{0} : it->second);
+        }
+        EXPECT_TRUE(live.back().test(assignment))
             << "model violates the live conjunction";
       }
     }
   }
+}
+
+TEST(BvSolverProperty, AgreesWithBruteForceOnRandomConjunctions) {
+  // Two 6-bit fields; then three 4-bit fields, where field equalities
+  // chain into classes (x == y, y == z).
+  expect_agreement_with_brute_force(1234, 300, 2);
+  expect_agreement_with_brute_force(4321, 300, 3);
 }
 
 // ------------------------------------------------------- Cross-check vs Z3

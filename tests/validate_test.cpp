@@ -161,11 +161,17 @@ TEST(Validate, ExhaustedBudgetReportsUnprovenNeverPassed) {
   // A budget no real check fits in: every obligation must come back
   // `unproven` or (rarely) still-decided, and none may be silently counted
   // as a pass — proven() is false even though nothing was refuted.
+  // gw-4: its register-update bindings are arithmetic, so its obligations
+  // reach the SAT core (gw-2's are all decided by the domain fast path,
+  // which the budget does not limit).
   ir::Context ctx;
   ValidateOptions vopts;
   vopts.budget.max_conflicts = 1;
   vopts.budget.max_propagations = 1;
-  Validated v = summarize_and_validate(ctx, nat_gateway_app(ctx), vopts);
+  apps::GwConfig cfg;
+  cfg.level = 4;
+  cfg.elastic_ips = 2;
+  Validated v = summarize_and_validate(ctx, apps::make_gateway(ctx, cfg), vopts);
   const ValidationResult& r = v.result;
   EXPECT_GT(r.unproven, 0u);
   EXPECT_FALSE(r.proven());
