@@ -234,14 +234,14 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
         bool tracked = false;
         if (e->kind == ir::ExprKind::kConst) {
           out.values.insert_or_assign(
-              target, ValueRange::constant(e->value, rit->second));
+              target, smt::Domain::constant(e->value, rit->second));
           cval = e->value;
           tracked = true;
         } else if (e->kind == ir::ExprKind::kField &&
                    e->width == rit->second) {
           auto sit = out.values.find(e->field);
           if (sit != out.values.end()) {
-            ValueRange copied = sit->second;
+            smt::Domain copied = sit->second;
             uint64_t v = 0;
             if (copied.is_constant(v)) cval = v;
             out.values.insert_or_assign(target, std::move(copied));
@@ -258,7 +258,9 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
       return true;
     }
     case ir::StmtKind::kAssume: {
-      if (eval_assume(id, out) == Ternary::kFalse) return false;
+      // Requiring each atom in turn empties a field's domain whenever
+      // eval_assume would refute the node, and also when the atoms on one
+      // field only contradict jointly.
       std::vector<smt::Atom> atoms;
       std::vector<ir::ExprRef> opaque;
       smt::decompose_conjunction(n.stmt.expr, atoms, opaque);
@@ -266,18 +268,10 @@ bool ValueDomain::transfer(cfg::NodeId id, State& out) const {
         if (a.field == ir::kInvalidField) return false;
         auto rit = relevant_.find(a.field);
         if (rit == relevant_.end()) continue;
-        auto it = out.values.find(a.field);
-        ValueRange r =
-            it != out.values.end() ? it->second : ValueRange(rit->second);
-        r.refine(a);
-        if (r.is_bottom()) return false;  // jointly contradictory
-        if (r.is_top()) {
-          if (it != out.values.end()) out.values.erase(it);
-        } else if (it != out.values.end()) {
-          it->second = std::move(r);
-        } else {
-          out.values.emplace(a.field, std::move(r));
-        }
+        auto it = out.values.try_emplace(a.field, rit->second).first;
+        it->second.require(a);
+        if (it->second.empty()) return false;
+        if (it->second.is_top()) out.values.erase(it);
       }
       // Combo filtering: drop combos whose bit value falsifies an atom on a
       // tracked validity field. An emptied set refutes the whole predicate

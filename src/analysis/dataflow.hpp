@@ -1,8 +1,8 @@
 // Forward-dataflow framework over the CFG plus the concrete analysis
-// domains Meissa ships: per-field value ranges (constants, intervals,
-// known bits), header validity (the 1-bit instantiation of the value
-// lattice over the per-instance `$valid` fields), and reaching-definition
-// kinds for metadata.
+// domains Meissa ships: per-field values (`smt::Domain`, the domain of the
+// one atom language), header validity (the 1-bit instantiation of the
+// value lattice over the per-instance `$valid` fields), and
+// reaching-definition kinds for metadata.
 //
 // Both solvers walk the region reachable from a start node once, in
 // topological order. The domain supplies the boundary state, an in-place
@@ -27,11 +27,13 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/domain.hpp"
 #include "cfg/cfg.hpp"
 #include "ir/stmt.hpp"
+#include "smt/domain.hpp"
 
 namespace meissa::analysis {
+
+using smt::Ternary;
 
 // The region reachable from `start` in topological order (reverse DFS
 // post-order). The walk does not expand `stop`'s successors (kNoNode: no
@@ -96,12 +98,12 @@ struct ValidityCombos {
 };
 
 struct AbsState {
-  std::unordered_map<ir::FieldId, ValueRange> values;
+  std::unordered_map<ir::FieldId, smt::Domain> values;  // absent = top
   std::unordered_map<ir::FieldId, DefKind> defs;
   ValidityCombos vcfg;
 };
 
-// The shipped product domain over AbsState. Tracks value ranges for the
+// The shipped product domain over AbsState. Tracks value domains for the
 // `relevant` fields (fields appearing in predicate atoms, validity bits,
 // and their copy sources) and definition kinds for the `meta` fields.
 class ValueDomain {

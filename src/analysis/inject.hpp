@@ -28,7 +28,7 @@
 // liveness proof derived from the dataflow facts (reachable, feasible IN
 // state, predicate not refuted). Sites that fail the proof are counted,
 // never emitted. The companion guard-constancy scan powers the m4lint
-// `constant-guard` detector: an if whose ValueRange verdict is kTrue or
+// `constant-guard` detector: an if whose value-domain verdict is kTrue or
 // kFalse has a dead or vacuous arm.
 //
 // Enumeration order is deterministic (node-id scan + declaration order),

@@ -21,7 +21,7 @@
 //                               a cross-pipeline pre-condition violation
 //   header-never-emitted        a header can leave a pipeline valid but is
 //                               absent from its deparser's emit order
-//   constant-guard              an if-statement guard the ValueRange
+//   constant-guard              an if-statement guard the value-domain
 //                               analysis proves always-true/always-false
 //                               (injection-analysis guard-constancy facts:
 //                               one arm dead, the test vacuous)

@@ -23,6 +23,7 @@ BaselineResult run_gauntlet(ir::Context& ctx, const p4::DataPlane& dp,
 
   auto t0 = std::chrono::steady_clock::now();
   driver::GenOptions gen;
+  gen.threads = 1;  // the modelled tool explores on one thread
   gen.code_summary = false;
   gen.early_termination = false;  // every complete path checked at the leaf
   gen.static_pruning = false;  // baseline: every query reaches the solver

@@ -31,6 +31,7 @@ BaselineResult run_p4pktgen(ir::Context& ctx, const p4::DataPlane& dp,
   no_rules.name = "p4pktgen-default";
   (void)rules;
   driver::GenOptions gen;
+  gen.threads = 1;  // the modelled tool explores on one thread
   gen.code_summary = false;
   gen.incremental = false;  // fresh solver per satisfiability query
   gen.static_pruning = false;  // baseline: every query reaches the solver

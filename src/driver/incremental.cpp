@@ -145,7 +145,12 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   report.smt_checks = report.stats.smt_checks >= replayed_checks
                           ? report.stats.smt_checks - replayed_checks
                           : 0;
+  // The cross-run cache answers the summary engines' checks as well as
+  // the final DFS's; a replayed unit reports none.
   report.pc_cache_hits = report.stats.engine.pc_cache_hits;
+  for (const summary::PipelineSummary& p : report.stats.pipelines) {
+    report.pc_cache_hits += p.pc_cache_hits;
+  }
   report.seconds = report.stats.total_seconds;
 
   // Delta coverage: sorted-multiset diff of semantic signatures against

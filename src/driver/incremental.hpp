@@ -72,7 +72,7 @@ struct UpdateReport {
   };
   std::vector<RegionPaths> regions;  // instance order
   uint64_t smt_checks = 0;     // backend checks this run actually paid
-  uint64_t pc_cache_hits = 0;  // checks answered by the shared cache
+  uint64_t pc_cache_hits = 0;  // checks the shared cache answered, all engines
   double seconds = 0;
   GenStats stats;
   std::vector<sym::TestCaseTemplate> templates;  // this run's full output

@@ -275,6 +275,26 @@ IntervalList intersect(const IntervalList& a, const IntervalList& b) {
   return out;
 }
 
+namespace {
+
+// The values either list holds, by one linear merge: the facts join at
+// every CFG merge, and from_unsorted's copy and sort cost them measurably.
+IntervalList unite(const IntervalList& a, const IntervalList& b) {
+  IntervalList out;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i].lo <= b[j].lo)) {
+      out.append(a[i++]);
+    } else {
+      out.append(b[j++]);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 IntervalList complement(const IntervalList& a, int width) {
   const uint64_t max = util::mask_bits(width);
   IntervalList out;
@@ -332,6 +352,98 @@ constexpr uint64_t mask_upto(int h) noexcept {
   return h >= 63 ? ~uint64_t{0} : ((uint64_t{1} << (h + 1)) - 1);
 }
 }  // namespace
+
+Domain Domain::constant(uint64_t v, int width) {
+  Domain d(width);
+  v = util::truncate(v, width);
+  d.forced_mask_ = util::mask_bits(width);
+  d.forced_val_ = v;
+  d.values_ = IntervalList(Interval{v, v});
+  return d;
+}
+
+bool Domain::empty() const {
+  if (contradictory_) return true;
+  bool decided = true;
+  return !pick_value(decided) && decided;
+}
+
+bool Domain::is_top() const noexcept {
+  return !contradictory_ && forced_mask_ == 0 && excluded_.empty() &&
+         values_ == IntervalList::full(width_);
+}
+
+bool Domain::is_constant(uint64_t& v) const {
+  if (!contradictory_ && forced_mask_ == util::mask_bits(width_)) {
+    v = forced_val_;  // every require checks a fully forced value
+    return true;
+  }
+  const std::optional<IntervalList> s = exact_values();
+  if (!s || s->size() != 1 || s->front().lo != s->front().hi) return false;
+  v = s->front().lo;
+  return true;
+}
+
+std::optional<IntervalList> Domain::exact_values() const {
+  IntervalList out;
+  if (contradictory_) return out;
+  const bool all_admitted = forced_mask_ == 0 && excluded_.empty();
+  uint64_t candidates = 0;
+  for (size_t k = 0; k < values_.size(); ++k) {
+    const Interval iv = values_[k];
+    if (all_admitted) {
+      if (iv.hi - iv.lo >= kExactValues - candidates) return std::nullopt;
+      candidates += iv.hi - iv.lo + 1;
+      out.append(iv);
+      continue;
+    }
+    std::optional<uint64_t> v = next_forced_match(iv.lo);
+    while (v && *v <= iv.hi) {
+      if (++candidates > kExactValues) return std::nullopt;
+      if (!excluded(*v)) out.append(Interval{*v, *v});
+      if (*v == iv.hi) break;
+      v = next_forced_match(*v + 1);
+    }
+  }
+  return out;
+}
+
+void Domain::join(const Domain& o) {
+  if (*this == o || o.empty()) return;
+  if (empty()) {
+    *this = o;
+    return;
+  }
+  const std::optional<IntervalList> mine = exact_values();
+  const std::optional<IntervalList> theirs = o.exact_values();
+  if (mine || theirs) {
+    excluded_.clear();  // an exact side carries no exclusion
+  } else {
+    std::erase_if(excluded_, [&](const MaskedNe& ne) {
+      return std::find(o.excluded_.begin(), o.excluded_.end(), ne) ==
+             o.excluded_.end();
+    });
+  }
+  values_ = unite(mine ? *mine : values_, theirs ? *theirs : o.values_);
+  if (values_.size() > kMaxJoinIntervals) {
+    values_ = IntervalList(Interval{values_.front().lo, values_.back().hi});
+  }
+  const uint64_t agree =
+      forced_mask_ & o.forced_mask_ & ~(forced_val_ ^ o.forced_val_);
+  forced_mask_ = agree;
+  forced_val_ &= agree;
+}
+
+Ternary Domain::eval(const Atom& a) const {
+  if (empty()) return Ternary::kUnknown;
+  Domain holds = *this;
+  holds.require(a);
+  if (holds.empty()) return Ternary::kFalse;
+  Domain fails = *this;
+  fails.require(negate_atom(a));
+  if (fails.empty()) return Ternary::kTrue;
+  return Ternary::kUnknown;
+}
 
 void Domain::require(const Atom& a) {
   if (!a.set.empty()) {

@@ -1,6 +1,7 @@
-// Single-field atoms and value domains — the one atom language of the
-// solver's fast path, the engine's `analysis::PathEnv`, the dataflow
-// facts' `analysis::ValueRange` and m4lint.
+// Single-field atoms and the one per-field value domain — the atom
+// language and domain of the solver's fast path, the engine's
+// `analysis::PathEnv`, the dataflow facts, m4lint and the injection
+// analysis.
 //
 // Path conditions produced by data-plane programs are overwhelmingly
 // conjunctions of per-field atoms: exact matches (f == c), ternary matches
@@ -11,7 +12,9 @@
 // field, the forced bit pattern, a list of unsigned intervals and a small
 // list of masked exclusions; `Domain::require` conjoins one atom, and the
 // domain can decide emptiness and produce a witness without touching the
-// SAT core.
+// SAT core. `Domain::join` is its least upper bound (exact while a side
+// admits few values) and `Domain::eval` its three-valued truth of an
+// atom, which the dataflow facts use over merging paths.
 #pragma once
 
 #include <cstdint>
@@ -135,13 +138,25 @@ Atom negate_atom(const Atom& a);
 // Whether concrete value `v` satisfies the atom.
 bool atom_holds(uint64_t v, const Atom& a) noexcept;
 
+// Three-valued truth of a predicate over a set of values.
+enum class Ternary : uint8_t { kFalse, kTrue, kUnknown };
+
 class Domain {
  public:
   explicit Domain(int width)
       : width_(width), values_(IntervalList::full(width)) {}
+  // The domain of the one value `v` (truncated to `width` bits).
+  static Domain constant(uint64_t v, int width);
 
   int width() const noexcept { return width_; }
   bool contradictory() const noexcept { return contradictory_; }
+  // No value satisfies every recorded constraint: the domain is
+  // contradictory, or the witness search decides that no value exists.
+  bool empty() const;
+  // Nothing recorded: every value of the width.
+  bool is_top() const noexcept;
+  // Exactly one value satisfies every constraint; it lands in `v`.
+  bool is_constant(uint64_t& v) const;
 
   // Conjoins one atom of this domain's field, as produced by
   // `decompose_conjunction` (a valid field; a mask only on ==/!=).
@@ -149,6 +164,22 @@ class Domain {
   // Conjoins every constraint of `o`, a domain of the same width: the
   // values both admit (the domain of a class of equal fields).
   void intersect(const Domain& o);
+  // Widens to a sound least upper bound with `o`, a domain of the same
+  // width: the interval lists unite, forced bits survive where both sides
+  // force the same value, exclusions where both sides carry them. A side
+  // with at most kExactValues candidate values counts as its exact
+  // interval list, so a join of two such sides loses nothing; a union of
+  // more than kMaxJoinIntervals intervals widens to its hull. An empty
+  // side adds nothing.
+  void join(const Domain& o);
+  // Three-valued truth of `a`, an atom of this domain's field, over every
+  // admitted value: kFalse when requiring `a` empties the domain, kTrue
+  // when requiring its negation does. An empty domain makes no claim
+  // (kUnknown).
+  Ternary eval(const Atom& a) const;
+
+  // The same recorded constraints (not merely the same value set).
+  bool operator==(const Domain&) const = default;
 
   // Finds the smallest value satisfying every recorded constraint, or
   // nullopt when the domain is empty or the search exceeded its attempt
@@ -158,6 +189,13 @@ class Domain {
   std::optional<uint64_t> pick_value(bool& decided) const;
 
  private:
+  static constexpr uint64_t kExactValues = 256;
+  static constexpr size_t kMaxJoinIntervals = 64;
+
+  // The admitted values as an exact interval list, when at most
+  // kExactValues values lie in the intervals and match the forced bits;
+  // nullopt otherwise.
+  std::optional<IntervalList> exact_values() const;
   // Conjoins (f & mask) == value. An exact match is mask == all-ones.
   void require_masked_eq(uint64_t mask, uint64_t value);
   // Conjoins (f & mask) != value.
@@ -180,6 +218,7 @@ class Domain {
   struct MaskedNe {
     uint64_t mask;
     uint64_t value;
+    bool operator==(const MaskedNe&) const = default;
   };
   std::vector<MaskedNe> excluded_;
 };

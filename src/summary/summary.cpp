@@ -78,6 +78,7 @@ PreCondition compute_precondition(ir::Context& ctx, const cfg::Cfg& g,
   }
   pc.frontier.node = target;
   pc.smt_checks = eng.stats().solver.checks;
+  pc.pc_cache_hits = eng.stats().pc_cache_hits;
   pc.smt_skipped = eng.stats().static_prunes + eng.stats().skipped_checks;
   pc.prefix_nodes = eng.stats().nodes_visited;
   pc.prefix_paths = count;
@@ -424,6 +425,7 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     if (opts.precondition_filtering) {
       pc = compute_precondition(ctx, g, info.entry, precondition_options(k));
       w.ps.smt_checks = pc.smt_checks;
+      w.ps.pc_cache_hits = pc.pc_cache_hits;
       w.ps.smt_skipped = pc.smt_skipped;
       w.ps.prefix_paths = pc.prefix_paths;
       w.ps.prefix_nodes = pc.prefix_nodes;
@@ -464,6 +466,7 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
 
     w.ps.paths_after = w.internal.size();
     w.ps.smt_checks += eng.stats().solver.checks;
+    w.ps.pc_cache_hits += eng.stats().pc_cache_hits;
     w.ps.smt_skipped += eng.stats().static_prunes + eng.stats().skipped_checks;
     w.ps.seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)

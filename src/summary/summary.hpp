@@ -114,6 +114,7 @@ struct PreCondition {
   uint64_t prefix_nodes = 0;  // CFG nodes it visited (frontier loads: none)
   uint64_t smt_checks = 0;    // solver checks it spent
   uint64_t smt_skipped = 0;   // checks static pruning avoided
+  uint64_t pc_cache_hits = 0;  // checks the path-condition cache answered
   // The enumerated paths' states at the target, in DFS order, for a
   // dominated pipeline to extend.
   sym::Frontier frontier;
@@ -176,6 +177,8 @@ struct PipelineSummary {
   uint64_t smt_checks = 0;      // solver checks spent summarizing
   double seconds = 0.0;
   uint64_t smt_skipped = 0;     // checks avoided by static pruning
+  // Checks the path-condition cache answered (0 when resumed).
+  uint64_t pc_cache_hits = 0;
   // The pre-condition enumeration's work this run (0 when resumed).
   uint64_t prefix_paths = 0;
   uint64_t prefix_nodes = 0;

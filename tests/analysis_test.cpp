@@ -1,7 +1,8 @@
-// Tests for the static-analysis subsystem: abstract value ranges, the
+// Tests for the static-analysis subsystem: per-field value ranges, the
 // forward dataflow solver (including the validity-combo refinement), path
 // environments, engine-facing facts (streaming and region-bounded, against
-// a fixpoint oracle), and the lint detectors over the seeded-bug corpus.
+// a fixpoint oracle, and sound against an unpruned engine), and the lint
+// detectors over the seeded-bug corpus.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -13,6 +14,8 @@
 #include "apps/apps.hpp"
 #include "cfg/build.hpp"
 #include "summary/summary.hpp"
+#include "sym/engine.hpp"
+#include "testlib.hpp"
 #include "util/rng.hpp"
 
 namespace meissa::analysis {
@@ -28,55 +31,70 @@ smt::Atom cmp_atom(ir::FieldId f, int width, ir::CmpOp op, uint64_t value) {
   return a;
 }
 
+// ---- the per-field value ranges of the dataflow facts: smt::Domain's
+// constants, join and three-valued eval.
+
 TEST(ValueRange, ConstantRoundTrip) {
-  ValueRange r = ValueRange::constant(5, 8);
+  smt::Domain r = smt::Domain::constant(5, 8);
   uint64_t v = 0;
   EXPECT_TRUE(r.is_constant(v));
   EXPECT_EQ(v, 5u);
-  EXPECT_FALSE(r.is_bottom());
+  EXPECT_FALSE(r.empty());
   EXPECT_FALSE(r.is_top());
 }
 
 TEST(ValueRange, JoinWidensToInterval) {
-  // Constants far enough apart that the small exclusion list cannot keep
-  // the join exact: the result is the interval [3, 200].
-  ValueRange r = ValueRange::constant(3, 8);
-  EXPECT_TRUE(r.join(ValueRange::constant(200, 8)));
+  // A union of more than 64 intervals widens to its hull: the 64 odd
+  // constants 6k + 1 (1..379) stay an exact list, and joining 401 as well
+  // widens them to [1, 401], where 3 can no longer be ruled out.
+  ir::FieldId f = 0;
+  smt::Domain r = smt::Domain::constant(1, 16);
+  for (uint64_t k = 1; k < 64; ++k) {
+    r.join(smt::Domain::constant(6 * k + 1, 16));
+  }
+  EXPECT_EQ(r.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 3)), Ternary::kFalse);
+  r.join(smt::Domain::constant(401, 16));
   uint64_t v = 0;
   EXPECT_FALSE(r.is_constant(v));
-  ir::FieldId f = 0;
-  EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kLt, 201)), Ternary::kTrue);
-  EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kLt, 3)), Ternary::kFalse);
-  // 67 is inside the hull and agrees with every bit 3 and 200 share, so
-  // the join cannot rule it out.
-  EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kEq, 67)), Ternary::kUnknown);
+  EXPECT_EQ(r.eval(cmp_atom(f, 16, ir::CmpOp::kLe, 401)), Ternary::kTrue);
+  EXPECT_EQ(r.eval(cmp_atom(f, 16, ir::CmpOp::kGt, 401)), Ternary::kFalse);
+  EXPECT_EQ(r.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 3)), Ternary::kUnknown);
+  // The forced bit every joined constant shares survives the widening:
+  // all of them are odd.
+  EXPECT_EQ(r.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 4)), Ternary::kFalse);
 }
 
-TEST(ValueRange, NearbyJoinStaysExactViaExclusions) {
-  // A join of nearby constants records the interior gap in the exclusion
-  // list, so equality against a gap value is refuted, not unknown.
-  ValueRange r = ValueRange::constant(3, 8);
-  EXPECT_TRUE(r.join(ValueRange::constant(9, 8)));
+TEST(ValueRange, NearbyJoinStaysExact) {
+  // A join of two constants is their exact two-point list, so equality
+  // against a value between them is refuted, not unknown, however far
+  // apart they are.
   ir::FieldId f = 0;
+  smt::Domain r = smt::Domain::constant(3, 8);
+  r.join(smt::Domain::constant(9, 8));
   EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kEq, 5)), Ternary::kFalse);
   EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kEq, 9)), Ternary::kUnknown);
+  smt::Domain far = smt::Domain::constant(3, 8);
+  far.join(smt::Domain::constant(200, 8));
+  EXPECT_EQ(far.eval(cmp_atom(f, 8, ir::CmpOp::kLt, 201)), Ternary::kTrue);
+  EXPECT_EQ(far.eval(cmp_atom(f, 8, ir::CmpOp::kLt, 3)), Ternary::kFalse);
+  EXPECT_EQ(far.eval(cmp_atom(f, 8, ir::CmpOp::kEq, 67)), Ternary::kFalse);
 }
 
 TEST(ValueRange, SmallWidthIsExact) {
-  // Width <= 6 uses an exact value bitmap: the join of {1} and {9} does
-  // not admit 5 the way an interval would.
-  ValueRange r = ValueRange::constant(1, 4);
-  EXPECT_TRUE(r.join(ValueRange::constant(9, 4)));
+  // A narrow field admits few values, so its joins are exact: the join
+  // of {1} and {9} does not admit 5 the way an interval would.
+  smt::Domain r = smt::Domain::constant(1, 4);
+  r.join(smt::Domain::constant(9, 4));
   ir::FieldId f = 0;
   EXPECT_EQ(r.eval(cmp_atom(f, 4, ir::CmpOp::kEq, 5)), Ternary::kFalse);
   EXPECT_EQ(r.eval(cmp_atom(f, 4, ir::CmpOp::kEq, 9)), Ternary::kUnknown);
 }
 
 TEST(ValueRange, RefineToBottom) {
-  ValueRange r = ValueRange::constant(5, 8);
+  smt::Domain r = smt::Domain::constant(5, 8);
   ir::FieldId f = 0;
-  r.refine(cmp_atom(f, 8, ir::CmpOp::kEq, 6));
-  EXPECT_TRUE(r.is_bottom());
+  r.require(cmp_atom(f, 8, ir::CmpOp::kEq, 6));
+  EXPECT_TRUE(r.empty());
 }
 
 // ---- width-boundary arithmetic: the primitives the summary validator's
@@ -85,11 +103,11 @@ TEST(ValueRange, RefineToBottom) {
 
 TEST(ValueRange, WrapAroundAddTruncatesIntoRange) {
   // The shared truncating arithmetic wraps 0xff + 1 to 0 at width 8; the
-  // range built from the wrapped constant must be the wrapped value, not
+  // domain built from the wrapped constant must be the wrapped value, not
   // the 9-bit sum.
   const uint64_t wrapped = ir::apply_arith(ir::ArithOp::kAdd, 0xff, 1, 8);
   EXPECT_EQ(wrapped, 0u);
-  ValueRange r = ValueRange::constant(0xff + 1, 8);  // constant() truncates
+  smt::Domain r = smt::Domain::constant(0xff + 1, 8);  // truncates
   uint64_t v = 1;
   ASSERT_TRUE(r.is_constant(v));
   EXPECT_EQ(v, 0u);
@@ -99,7 +117,7 @@ TEST(ValueRange, WrapAroundAddTruncatesIntoRange) {
 
 TEST(ValueRange, FullWidth64IsExactAtTheTop) {
   const uint64_t max = ~uint64_t{0};
-  ValueRange r = ValueRange::constant(max, 64);
+  smt::Domain r = smt::Domain::constant(max, 64);
   uint64_t v = 0;
   ASSERT_TRUE(r.is_constant(v));
   EXPECT_EQ(v, max);
@@ -107,64 +125,80 @@ TEST(ValueRange, FullWidth64IsExactAtTheTop) {
   // Nothing is greater than the all-ones value; Ge against it holds.
   EXPECT_EQ(r.eval(cmp_atom(f, 64, ir::CmpOp::kGt, max)), Ternary::kFalse);
   EXPECT_EQ(r.eval(cmp_atom(f, 64, ir::CmpOp::kGe, max)), Ternary::kTrue);
-  // Joining {max-1} keeps the hull [max-1, max]: max-2 is provably out,
-  // and both endpoints stay plausible.
-  EXPECT_TRUE(r.join(ValueRange::constant(max - 1, 64)));
+  // Joining {max-1} gives [max-1, max]: max-2 is provably out, and both
+  // endpoints stay possible.
+  r.join(smt::Domain::constant(max - 1, 64));
   EXPECT_EQ(r.eval(cmp_atom(f, 64, ir::CmpOp::kEq, max - 2)),
             Ternary::kFalse);
   EXPECT_EQ(r.eval(cmp_atom(f, 64, ir::CmpOp::kGe, max - 1)),
             Ternary::kTrue);
+  EXPECT_EQ(r.eval(cmp_atom(f, 64, ir::CmpOp::kEq, max)), Ternary::kUnknown);
+  // The 64-bit top: no claim about any value, and joining it stays top.
+  smt::Domain top(64);
+  EXPECT_TRUE(top.is_top());
+  EXPECT_EQ(top.eval(cmp_atom(f, 64, ir::CmpOp::kEq, max)),
+            Ternary::kUnknown);
+  r.join(top);
+  EXPECT_TRUE(r.is_top());
 }
 
 TEST(ValueRange, FullWidthMaskIsPlainCompare) {
   // A ternary atom whose mask covers the whole width is an exact compare:
-  // refining with it pins the value; a conflicting full-mask refine
-  // empties the range.
+  // requiring it pins the value; a conflicting full-mask compare empties
+  // the domain.
   ir::FieldId f = 0;
   smt::Atom a = cmp_atom(f, 32, ir::CmpOp::kEq, 0xdeadbeef);
   EXPECT_TRUE(a.is_exact_mask());
-  ValueRange r(32);
+  smt::Domain r(32);
   EXPECT_TRUE(r.is_top());
-  r.refine(a);
+  r.require(a);
   uint64_t v = 0;
   ASSERT_TRUE(r.is_constant(v));
   EXPECT_EQ(v, 0xdeadbeefu);
-  r.refine(cmp_atom(f, 32, ir::CmpOp::kEq, 0xdeadbef0));
-  EXPECT_TRUE(r.is_bottom());
+  r.require(cmp_atom(f, 32, ir::CmpOp::kEq, 0xdeadbef0));
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(ValueRange, EmptyMeetAtWidthBoundaries) {
   ir::FieldId f = 0;
-  // Wide representation: nothing is above the width-16 maximum.
-  ValueRange wide(16);
-  wide.refine(cmp_atom(f, 16, ir::CmpOp::kGt, 0xffff));
-  EXPECT_TRUE(wide.is_bottom());
+  // Nothing is above the width-16 maximum.
+  smt::Domain wide(16);
+  wide.require(cmp_atom(f, 16, ir::CmpOp::kGt, 0xffff));
+  EXPECT_TRUE(wide.empty());
   // Nothing is below zero either.
-  ValueRange low(16);
-  low.refine(cmp_atom(f, 16, ir::CmpOp::kLt, 0));
-  EXPECT_TRUE(low.is_bottom());
-  // Small (bitmap) representation at the 6-bit boundary behaves the same.
-  ValueRange small6(6);
-  small6.refine(cmp_atom(f, 6, ir::CmpOp::kGt, 63));
-  EXPECT_TRUE(small6.is_bottom());
+  smt::Domain low(16);
+  low.require(cmp_atom(f, 16, ir::CmpOp::kLt, 0));
+  EXPECT_TRUE(low.empty());
+  // A narrow field behaves the same at its maximum.
+  smt::Domain small6(6);
+  small6.require(cmp_atom(f, 6, ir::CmpOp::kGt, 63));
+  EXPECT_TRUE(small6.empty());
   // eq then ne of the same value: the classic empty meet.
-  ValueRange r = ValueRange::constant(63, 6);
-  r.refine(cmp_atom(f, 6, ir::CmpOp::kNe, 63));
-  EXPECT_TRUE(r.is_bottom());
+  smt::Domain r = smt::Domain::constant(63, 6);
+  r.require(cmp_atom(f, 6, ir::CmpOp::kNe, 63));
+  EXPECT_TRUE(r.empty());
+  // An exclusion of the last value a range admits empties it too, though
+  // only the witness search can tell.
+  smt::Domain last(16);
+  last.require(cmp_atom(f, 16, ir::CmpOp::kGe, 0xfffe));
+  last.require(cmp_atom(f, 16, ir::CmpOp::kNe, 0xfffe));
+  last.require(cmp_atom(f, 16, ir::CmpOp::kNe, 0xffff));
+  EXPECT_FALSE(last.contradictory());
+  EXPECT_TRUE(last.empty());
 }
 
 TEST(ValueRange, JoinWithBottomIsIdentity) {
   ir::FieldId f = 0;
-  ValueRange bottom(8);
-  bottom.refine(cmp_atom(f, 8, ir::CmpOp::kLt, 0));  // empty
-  ASSERT_TRUE(bottom.is_bottom());
-  ValueRange r = ValueRange::constant(7, 8);
-  EXPECT_FALSE(r.join(bottom));  // no widening from an empty set
+  smt::Domain bottom(8);
+  bottom.require(cmp_atom(f, 8, ir::CmpOp::kLt, 0));  // empty
+  ASSERT_TRUE(bottom.empty());
+  smt::Domain r = smt::Domain::constant(7, 8);
+  r.join(bottom);  // no widening from an empty set
   uint64_t v = 0;
   ASSERT_TRUE(r.is_constant(v));
   EXPECT_EQ(v, 7u);
   // And bottom.join(x) adopts x wholesale.
-  EXPECT_TRUE(bottom.join(r));
+  bottom.join(r);
   ASSERT_TRUE(bottom.is_constant(v));
   EXPECT_EQ(v, 7u);
 }
@@ -173,24 +207,50 @@ TEST(ValueRange, BottomMakesNoClaim) {
   // eval over an empty set is kUnknown (unreachable state, no claim) —
   // callers prune on reachability, not on vacuous truth.
   ir::FieldId f = 0;
-  ValueRange r = ValueRange::constant(5, 8);
-  r.refine(cmp_atom(f, 8, ir::CmpOp::kEq, 6));
-  ASSERT_TRUE(r.is_bottom());
+  smt::Domain r = smt::Domain::constant(5, 8);
+  r.require(cmp_atom(f, 8, ir::CmpOp::kEq, 6));
+  ASSERT_TRUE(r.empty());
   EXPECT_EQ(r.eval(cmp_atom(f, 8, ir::CmpOp::kEq, 5)), Ternary::kUnknown);
 }
 
-TEST(ValueRange, SmallWidthBoundaryIsSixBits) {
-  // Width 6 is the last exact-bitmap width: the join of {1} and {62}
-  // excludes interior values exactly. Width 7 falls back to the interval
-  // hull, which cannot.
+TEST(ValueRange, JoinIsExactUpTo256Values) {
+  // A side that admits at most 256 values joins as its exact interval
+  // list, whatever the width; a larger side keeps only the exclusions
+  // the other side carries too.
   ir::FieldId f = 0;
-  ValueRange six = ValueRange::constant(1, 6);
-  EXPECT_TRUE(six.join(ValueRange::constant(62, 6)));
-  EXPECT_EQ(six.eval(cmp_atom(f, 6, ir::CmpOp::kEq, 30)), Ternary::kFalse);
-  ValueRange seven = ValueRange::constant(1, 7);
-  EXPECT_TRUE(seven.join(ValueRange::constant(126, 7)));
-  EXPECT_EQ(seven.eval(cmp_atom(f, 7, ir::CmpOp::kEq, 30)),
+  smt::Domain few(16);
+  few.require(cmp_atom(f, 16, ir::CmpOp::kLe, 255));
+  few.require(cmp_atom(f, 16, ir::CmpOp::kNe, 7));
+  few.join(smt::Domain::constant(1000, 16));
+  EXPECT_EQ(few.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 7)), Ternary::kFalse);
+  EXPECT_EQ(few.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 500)), Ternary::kFalse);
+  smt::Domain many(16);
+  many.require(cmp_atom(f, 16, ir::CmpOp::kLe, 511));
+  many.require(cmp_atom(f, 16, ir::CmpOp::kNe, 7));
+  EXPECT_EQ(many.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 7)), Ternary::kFalse);
+  many.join(smt::Domain::constant(1000, 16));
+  EXPECT_EQ(many.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 7)),
             Ternary::kUnknown);
+  EXPECT_EQ(many.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 600)),
+            Ternary::kFalse);
+  // Two large sides: 7, which both exclude, stays out; 9 and 20, which
+  // one side admits, come back.
+  smt::Domain other(16);
+  other.require(cmp_atom(f, 16, ir::CmpOp::kLe, 1023));
+  other.require(cmp_atom(f, 16, ir::CmpOp::kNe, 7));
+  other.require(cmp_atom(f, 16, ir::CmpOp::kNe, 20));
+  smt::Domain large(16);
+  large.require(cmp_atom(f, 16, ir::CmpOp::kLe, 511));
+  large.require(cmp_atom(f, 16, ir::CmpOp::kNe, 7));
+  large.require(cmp_atom(f, 16, ir::CmpOp::kNe, 9));
+  large.join(other);
+  EXPECT_EQ(large.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 7)), Ternary::kFalse);
+  EXPECT_EQ(large.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 9)),
+            Ternary::kUnknown);
+  EXPECT_EQ(large.eval(cmp_atom(f, 16, ir::CmpOp::kEq, 20)),
+            Ternary::kUnknown);
+  EXPECT_EQ(large.eval(cmp_atom(f, 16, ir::CmpOp::kLe, 1023)),
+            Ternary::kTrue);
 }
 
 // ---------------------------------------------------------------- dataflow
@@ -467,6 +527,53 @@ TEST(Facts, StreamingMatchesFixpointOracle) {
   }
 }
 
+const char* const kDemoApps[] = {"router", "mtag", "acl",  "switchp4",
+                                 "gw-1",   "gw-2", "gw-3", "gw-4"};
+
+// The facts from `g`'s entry against an engine run from there with no
+// static pruning and no summary, which decides every branch with the
+// solver: no node on one of its paths may be refuted or unreachable.
+// Returns how many nodes the facts ruled out.
+uint64_t expect_facts_sound(ir::Context& ctx, const cfg::Cfg& g,
+                            const std::string& what) {
+  const Facts facts = compute_facts(ctx, g, g.entry());
+  sym::EngineOptions opts;
+  opts.static_pruning = false;
+  sym::Engine eng(ctx, g, opts);
+  std::vector<uint8_t> on_path(g.size(), 0);
+  eng.run([&](const sym::PathResult& r) {
+    for (cfg::NodeId n : r.path) on_path[n] = 1;
+  });
+  for (cfg::NodeId n = 0; n < g.size(); ++n) {
+    if (!on_path[n]) continue;
+    EXPECT_FALSE(facts.refuted[n]) << what << ": refuted node " << n;
+    EXPECT_FALSE(facts.unreachable[n]) << what << ": unreachable node " << n;
+  }
+  return facts.refuted_count + facts.unreachable_count;
+}
+
+TEST(Facts, SoundAgainstTheUnprunedEngine) {
+  uint64_t ruled_out = 0;
+  for (const char* name : kDemoApps) {
+    ir::Context ctx;
+    apps::AppBundle app = testlib::demo_app(ctx, name);
+    ruled_out += expect_facts_sound(
+        ctx, cfg::build_cfg(app.dp, app.rules, ctx), name);
+  }
+  for (int index = 1; index <= apps::kNumBugs; ++index) {
+    ir::Context ctx;
+    ruled_out += expect_facts_sound(ctx, bug_cfg(ctx, index),
+                                    "bug " + std::to_string(index));
+  }
+  for (uint64_t seed = 1; seed <= 500; ++seed) {
+    ir::Context ctx;
+    util::Rng rng(seed);
+    ruled_out += expect_facts_sound(ctx, random_dag(ctx, rng),
+                                    "random DAG seed " + std::to_string(seed));
+  }
+  EXPECT_GT(ruled_out, 0u);
+}
+
 // --------------------------------------------------------------- path env
 
 TEST(PathEnv, VerdictsAndRollback) {
@@ -715,6 +822,68 @@ TEST(Lint, SyntheticSkipArmsAreNotReported) {
   }
   EXPECT_TRUE(has_synthetic);
   EXPECT_TRUE(lint_cfg(ctx, g).clean());
+}
+
+// FNV-1a of the rendered JSON and text of every demo app and Table-2
+// scenario, so a change to the value domain or a detector cannot silently
+// change what m4lint reports.
+TEST(Lint, CorpusOutputsArePinned) {
+  struct Pin {
+    std::string program;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"router", 0x38d2d6be443385bdull},
+      {"mtag", 0x38d2d6be443385bdull},
+      {"acl", 0x38d2d6be443385bdull},
+      {"switchp4", 0x25251b6d2d9db9d0ull},
+      {"gw-1", 0x38d2d6be443385bdull},
+      {"gw-2", 0x38d2d6be443385bdull},
+      {"gw-3", 0x38d2d6be443385bdull},
+      {"gw-4", 0x38d2d6be443385bdull},
+      {"bug 1", 0x38d2d6be443385bdull},
+      {"bug 2", 0x928b4ab690a5dc51ull},
+      {"bug 3", 0x507606208100dfd1ull},
+      {"bug 4", 0x5897150e1e6ad893ull},
+      {"bug 5", 0xdd5f69ea9e0b8f0bull},
+      {"bug 6", 0x106f000b7b784af7ull},
+      {"bug 7", 0xf0bcedc14ccc3068ull},
+      {"bug 8", 0xfb3e536808f0cb6full},
+      {"bug 9", 0x38d2d6be443385bdull},
+      {"bug 10", 0x38d2d6be443385bdull},
+      {"bug 11", 0x283485e811724878ull},
+      {"bug 12", 0x38d2d6be443385bdull},
+      {"bug 13", 0x38d2d6be443385bdull},
+      {"bug 14", 0x38d2d6be443385bdull},
+      {"bug 15", 0x38d2d6be443385bdull},
+      {"bug 16", 0xe84b94b44cbb5f79ull},
+  };
+  auto digest = [](const LintResult& r) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : render_json(r) + render_text(r)) {
+      h ^= static_cast<uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  size_t k = 0;
+  auto expect_pinned = [&](const ir::Context& ctx, const cfg::Cfg& g,
+                           const std::string& program) {
+    ASSERT_LT(k, std::size(pins));
+    const Pin& pin = pins[k++];
+    ASSERT_EQ(pin.program, program);
+    EXPECT_EQ(digest(lint_cfg(ctx, g)), pin.digest) << program;
+  };
+  for (const char* name : kDemoApps) {
+    ir::Context ctx;
+    apps::AppBundle app = testlib::demo_app(ctx, name);
+    expect_pinned(ctx, cfg::build_cfg(app.dp, app.rules, ctx), name);
+  }
+  for (int index = 1; index <= apps::kNumBugs; ++index) {
+    ir::Context ctx;
+    expect_pinned(ctx, bug_cfg(ctx, index), "bug " + std::to_string(index));
+  }
+  EXPECT_EQ(k, std::size(pins));
 }
 
 }  // namespace

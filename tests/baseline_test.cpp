@@ -56,6 +56,25 @@ TEST(P4pktgen, ActionCoverExploresActionSpace) {
   EXPECT_GT(covered.templates, plain.templates);
 }
 
+TEST(Gauntlet, IdenticalRunsSpendIdenticalChecks) {
+  // The modelled tool is single-threaded: its generator runs on one
+  // thread, so its solver-cache hits, and with them the checks it pays,
+  // repeat run for run.
+  auto checks = [] {
+    ir::Context ctx;
+    apps::SwitchP4Config cfg;
+    cfg.routes = 24;
+    apps::AppBundle app = apps::make_switchp4(ctx, cfg);
+    BaselineResult r = run_gauntlet(ctx, app.dp, app.rules, nullptr);
+    EXPECT_TRUE(r.supported);
+    EXPECT_FALSE(r.timed_out);
+    return r.smt_checks;
+  };
+  const uint64_t first = checks();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(checks(), first);
+}
+
 spec::Intent strict_ttl_intent(ir::Context& ctx, const p4::Program& prog) {
   // Delivered routed traffic MUST have a decremented TTL (strict form).
   spec::IntentBuilder ib(ctx, prog, "strict-ttl");

@@ -9,6 +9,7 @@
 #include "fuzz/mutator.hpp"
 #include "obs/metrics.hpp"
 #include "sim/toolchain.hpp"
+#include "testlib.hpp"
 
 namespace meissa::sim {
 namespace {
@@ -62,30 +63,11 @@ void check_app(ir::Context& ctx, const p4::DataPlane& dp,
   }
 }
 
-apps::AppBundle demo_app(ir::Context& ctx, const std::string& name) {
-  if (name == "router") return apps::make_router(ctx, 6);
-  if (name == "mtag") return apps::make_mtag(ctx, 4);
-  if (name == "acl") return apps::make_acl(ctx, 4, 4);
-  if (name == "switchp4") {
-    apps::SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    return apps::make_switchp4(ctx, cfg);
-  }
-  apps::GwConfig cfg;
-  cfg.level = name[3] - '0';
-  cfg.elastic_ips = 4;
-  return apps::make_gateway(ctx, cfg);
-}
-
 class BatchEquivalenceApp : public testing::TestWithParam<const char*> {};
 
 TEST_P(BatchEquivalenceApp, MatchesInject) {
   ir::Context ctx;
-  apps::AppBundle app = demo_app(ctx, GetParam());
+  apps::AppBundle app = testlib::demo_app(ctx, GetParam());
   check_app(ctx, app.dp, app.rules);
 }
 

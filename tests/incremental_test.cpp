@@ -148,6 +148,25 @@ TEST(Incremental, DependencyEdgesAreLoadBearing) {
          "the soundness argument resting on them) would be dead weight";
 }
 
+TEST(Incremental, CacheHitsOfTheSummaryEnginesAreReported) {
+  // On gw-4 the cross-run cache answers the summary engines' checks of
+  // the regions an update re-explores; the update's hit count must carry
+  // them, not only the final DFS's.
+  ir::Context ctx;
+  apps::AppBundle app = gateway(ctx, 4);
+  IncrementalSession session(ctx, app.dp);
+  p4::RuleSet rules = app.rules;
+  session.run(rules);
+  ASSERT_TRUE(remove_last_entry(rules, rules.entries.back().table));
+  UpdateReport up = session.run(rules);
+  uint64_t summary_hits = 0;
+  for (const summary::PipelineSummary& p : up.stats.pipelines) {
+    summary_hits += p.pc_cache_hits;
+  }
+  EXPECT_GT(summary_hits, 0u);
+  EXPECT_EQ(up.pc_cache_hits, summary_hits + up.stats.engine.pc_cache_hits);
+}
+
 TEST(Incremental, SecondIdenticalRunIsAllClean) {
   ir::Context ctx;
   apps::AppBundle app = gateway(ctx, 1);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <bitset>
+#include <functional>
 #include <memory>
 
 #include "analysis/env.hpp"
@@ -457,6 +458,138 @@ TEST(Domain, IntersectionConjoinsEveryConstraint) {
   c.require(compare_atom(0, 8, CmpOp::kLe, 20));
   c.intersect(high);
   EXPECT_TRUE(c.contradictory());
+}
+
+// A random atom of a `width`-bit field (field 0): an exact compare, a
+// masked ==/!= (its value sometimes outside the mask), a range compare,
+// or a membership in one to three random intervals.
+Atom random_atom(util::Rng& rng, int width) {
+  switch (rng.below(4)) {
+    case 0:
+      return compare_atom(0, width, rng.chance(1, 2) ? CmpOp::kEq : CmpOp::kNe,
+                          rng.bits(width));
+    case 1: {
+      Atom a = compare_atom(0, width,
+                            rng.chance(1, 2) ? CmpOp::kEq : CmpOp::kNe, 0);
+      a.mask = rng.bits(width);
+      a.value = rng.bits(width) & (rng.chance(1, 6) ? ~uint64_t{0} : a.mask);
+      return a;
+    }
+    case 2:
+      return compare_atom(0, width, static_cast<CmpOp>(rng.below(6)),
+                          rng.bits(width));
+    default: {
+      std::vector<Interval> ivs;
+      for (uint64_t k = 1 + rng.below(3); k > 0; --k) {
+        const uint64_t a = rng.bits(width);
+        const uint64_t b = rng.bits(width);
+        ivs.push_back(Interval{std::min(a, b), std::max(a, b)});
+      }
+      return member_atom(0, width, IntervalList::from_unsorted(ivs));
+    }
+  }
+}
+
+// A domain over widths 1-10 against the exact value set it stands for:
+// random trees of require and join (above 8 bits a side can admit more
+// than 256 values, so joins take the inexact path too). Every
+// kTrue/kFalse of eval must hold
+// over the exact set (joins may only lose precision), and after
+// require-only sequences, which the domain represents exactly, eval must
+// be exact whenever the witness search decides.
+TEST(DomainProperty, EvalAgreesWithBruteForceOverRequireJoinTrees) {
+  using Values = std::bitset<1024>;
+  util::Rng rng(25);
+  struct Node {
+    Domain dom;
+    Values exact;
+    bool require_only;
+  };
+  uint64_t exact_checks = 0;
+  uint64_t decided_verdicts = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const int w = static_cast<int>(1 + rng.below(10));
+    const uint64_t count = uint64_t{1} << w;
+    auto require = [&](Node& n, const Atom& a) {
+      n.dom.require(a);
+      for (uint64_t v = 0; v < count; ++v) {
+        if (!atom_holds(v, a)) n.exact.reset(v);
+      }
+    };
+    std::function<Node(int)> build = [&](int depth) {
+      Node n{Domain(w), Values(), true};
+      if (depth > 0 && rng.chance(2, 3)) {
+        n = build(depth - 1);
+        Node o = build(depth - 1);
+        n.dom.join(o.dom);
+        n.exact |= o.exact;
+        n.require_only = false;
+      } else {
+        for (uint64_t v = 0; v < count; ++v) n.exact.set(v);
+      }
+      for (uint64_t k = rng.below(4); k > 0; --k) require(n, random_atom(rng, w));
+      return n;
+    };
+    const Node n = build(static_cast<int>(rng.below(4)));
+    const std::string what = "iteration " + std::to_string(iter);
+
+    if (n.dom.empty()) {
+      EXPECT_TRUE(n.exact.none()) << what;
+    }
+    uint64_t c = 0;
+    if (n.dom.is_constant(c)) {
+      EXPECT_TRUE((n.exact & ~Values().set(c)).none()) << what;
+    }
+    for (uint64_t v = 0; v < count; ++v) {
+      if (n.exact.test(v)) {
+        EXPECT_NE(n.dom.eval(compare_atom(0, w, CmpOp::kEq, v)),
+                  Ternary::kFalse)
+            << what << " drops " << v;
+      }
+    }
+    for (int q = 0; q < 8; ++q) {
+      const Atom a = random_atom(rng, w);
+      bool any = false;
+      bool all = true;
+      for (uint64_t v = 0; v < count; ++v) {
+        if (!n.exact.test(v)) continue;
+        if (atom_holds(v, a)) {
+          any = true;
+        } else {
+          all = false;
+        }
+      }
+      const Ternary t = n.dom.eval(a);
+      if (t == Ternary::kTrue) {
+        EXPECT_TRUE(all) << what;
+      }
+      if (t == Ternary::kFalse) {
+        EXPECT_FALSE(any) << what;
+      }
+      if (t != Ternary::kUnknown) ++decided_verdicts;
+      if (!n.require_only) continue;
+      bool decided = true;
+      bool all_decided = true;
+      Domain holds = n.dom;
+      holds.require(a);
+      Domain fails = n.dom;
+      fails.require(negate_atom(a));
+      for (const Domain* d : {&n.dom, &std::as_const(holds),
+                              &std::as_const(fails)}) {
+        (void)d->pick_value(decided);
+        all_decided = all_decided && decided;
+      }
+      if (!all_decided) continue;
+      Ternary want = Ternary::kUnknown;
+      if (n.exact.any() && all) want = Ternary::kTrue;
+      if (n.exact.any() && !any) want = Ternary::kFalse;
+      EXPECT_EQ(t, want) << what;
+      ++exact_checks;
+    }
+  }
+  // The trees exercise both decided verdicts and the exactness check.
+  EXPECT_GT(decided_verdicts, 1000u);
+  EXPECT_GT(exact_checks, 1000u);
 }
 
 // --------------------------------------------------------------- Fast path

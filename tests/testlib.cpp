@@ -9,6 +9,25 @@
 
 namespace meissa::testlib {
 
+apps::AppBundle demo_app(ir::Context& ctx, const std::string& name) {
+  if (name == "router") return apps::make_router(ctx, 6);
+  if (name == "mtag") return apps::make_mtag(ctx, 4);
+  if (name == "acl") return apps::make_acl(ctx, 4, 4);
+  if (name == "switchp4") {
+    apps::SwitchP4Config cfg;
+    cfg.l2_hosts = 4;
+    cfg.routes = 4;
+    cfg.ecmp_ways = 2;
+    cfg.acls = 4;
+    cfg.mpls_labels = 4;
+    return apps::make_switchp4(ctx, cfg);
+  }
+  apps::GwConfig cfg;
+  cfg.level = name[3] - '0';
+  cfg.elastic_ips = 4;
+  return apps::make_gateway(ctx, cfg);
+}
+
 p4::DataPlane make_fig7_plane(ir::Context& ctx) {
   return apps::demos::make_fig7_plane(ctx);
 }

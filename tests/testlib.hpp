@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "cfg/build.hpp"
 #include "p4/rules.hpp"
 #include "util/rng.hpp"
@@ -27,6 +28,10 @@ p4::RuleSet fig7_rules(int n_hosts);
 // pre-condition of the egress and its UDP branch is summarized away.
 p4::DataPlane make_fig8_plane(ir::Context& ctx);
 p4::RuleSet fig8_rules();
+
+// The eight demo apps (router, mtag, acl, switchp4, gw-1..gw-4) at the
+// small sizes the command-line tools use.
+apps::AppBundle demo_app(ir::Context& ctx, const std::string& name);
 
 // Result of concretely interpreting a CFG: which terminal was reached and
 // the final state. Interpretation backtracks at forks (assume-guarded
