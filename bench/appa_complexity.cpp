@@ -107,7 +107,7 @@ apps::AppBundle make_chain(ir::Context& ctx, int k, int n, int f) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   std::printf("== Appendix A: k-pipeline chain, basic vs code summary ==\n");
   std::printf("   (16 chained entries per pipe, 2 reachable; fan of 2)\n\n");
   std::printf("%-3s | %12s %10s | %12s %10s | %s\n", "k", "basic time",

@@ -6,13 +6,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "apps/apps.hpp"
 #include "baselines/baseline.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/toolchain.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -94,38 +94,43 @@ inline std::string parse_path_arg(int argc, char** argv,
   return {};
 }
 
-// Observability session for a bench binary: `--metrics FILE` turns the
-// metrics registry on, `--trace FILE` starts span collection; both files
-// are written when the session object leaves scope (end of main). Declare
-// one of these first thing in main() — with neither flag it is inert and
-// the bench's output is unchanged.
-struct ObsSession {
-  std::string metrics_file;
-  std::string trace_file;
+// The bench's observability session: `--metrics FILE` turns the metrics
+// registry on, `--trace FILE` starts span collection, and both files are
+// written when the session leaves scope (end of main). Declare it first
+// thing in main() as `auto obs_session = bench::observe(argc, argv);`.
+inline obs::Session observe(int argc, char** argv) {
+  return obs::Session("bench", parse_path_arg(argc, argv, "--metrics"),
+                      parse_path_arg(argc, argv, "--trace"));
+}
 
-  ObsSession(int argc, char** argv)
-      : metrics_file(parse_path_arg(argc, argv, "--metrics")),
-        trace_file(parse_path_arg(argc, argv, "--trace")) {
-    if (!metrics_file.empty()) obs::MetricsRegistry::set_enabled(true);
-    if (!trace_file.empty()) obs::trace_start();
-  }
-  ~ObsSession() {
-    if (!trace_file.empty()) {
-      obs::trace_stop();
-      if (!obs::write_trace_file(trace_file)) {
-        std::fprintf(stderr, "bench: cannot write trace to '%s'\n",
-                     trace_file.c_str());
-      }
-    }
-    if (!metrics_file.empty() && !obs::write_metrics_file(metrics_file)) {
-      std::fprintf(stderr, "bench: cannot write metrics to '%s'\n",
-                   metrics_file.c_str());
-    }
-  }
+// One ratio per row of a summary-effectiveness table (w/o over w/).
+using RatioRow = std::pair<std::string, double>;
 
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-};
+// A "Shape checks" line computed from the ratios the table printed: the
+// rows whose ratio is above 1 and the rows whose ratio is not.
+inline void print_ratio_check(const char* what,
+                              const std::vector<RatioRow>& rows) {
+  std::string above;
+  std::string rest;
+  for (const auto& [name, ratio] : rows) {
+    std::string& side = ratio > 1 ? above : rest;
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s%s %.2fx", side.empty() ? "" : ", ",
+                  name.c_str(), ratio);
+    side += buf;
+  }
+  std::printf("  %s > 1: %s; not > 1: %s\n", what,
+              above.empty() ? "none" : above.c_str(),
+              rest.empty() ? "none" : rest.c_str());
+}
+
+// True when each row's ratio is at least the previous row's.
+inline bool ratios_grow(const std::vector<RatioRow>& rows) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].second < rows[i - 1].second) return false;
+  }
+  return true;
+}
 
 // SAT-core decisions per SAT-core solve (0 when no check reached the core).
 inline double decisions_per_solve(const smt::SolverStats& s) {

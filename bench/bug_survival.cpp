@@ -33,7 +33,7 @@
 using namespace meissa;
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs(argc, argv);
+  auto obs = bench::observe(argc, argv);
 
   apps::corpus::CorpusOptions copts;
   apps::survival::SurvivalOptions sopts;

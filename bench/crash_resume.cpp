@@ -121,7 +121,7 @@ void resume_cost(int threads) {
 }  // namespace meissa::bench
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   int threads = meissa::bench::parse_threads(argc, argv, 4);
   meissa::bench::checkpoint_overhead(threads);
   meissa::bench::resume_cost(threads);

@@ -104,7 +104,7 @@ void stability_vs_loss() {
 }  // namespace meissa::bench
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   meissa::bench::coverage_vs_budget();
   meissa::bench::stability_vs_loss();
   return 0;

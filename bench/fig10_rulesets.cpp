@@ -10,7 +10,7 @@ constexpr double kBudget = 120;
 }
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   std::printf("== Figure 10: running time vs table rule set (Meissa / "
               "Aquila) ==\n");

@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   const int threads = bench::parse_threads(argc, argv);
   std::printf("== Figure 11: code summary effectiveness (gw-1..gw-4, "
@@ -21,6 +21,9 @@ int main(int argc, char** argv) {
               "paths w/", "paths w/o");
   std::printf("--------+-------------------------------+--------------------"
               "---------+---------------------------\n");
+  std::vector<bench::RatioRow> time_ratios;
+  std::vector<bench::RatioRow> smt_ratios;
+  std::vector<bench::RatioRow> path_gaps;  // orders of magnitude
   for (int level = 1; level <= 4; ++level) {
     ir::Context ctx;
     apps::GwConfig cfg;
@@ -49,15 +52,19 @@ int main(int argc, char** argv) {
     go.generate();
     double without_s = t2.elapsed();
 
+    const double smt_ratio =
+        static_cast<double>(go.stats().smt_checks) /
+        static_cast<double>(std::max<uint64_t>(1, gw.stats().smt_checks));
     std::printf("%-7s | %9.3fs %9.3fs %6.1fx | %9llu %9llu %6.1fx | %12s %12s\n",
                 app.name.c_str(), with_s, without_s, without_s / with_s,
                 static_cast<unsigned long long>(gw.stats().smt_checks),
                 static_cast<unsigned long long>(go.stats().smt_checks),
-                static_cast<double>(go.stats().smt_checks) /
-                    static_cast<double>(std::max<uint64_t>(
-                        1, gw.stats().smt_checks)),
-                gw.stats().paths_summarized.str().c_str(),
+                smt_ratio, gw.stats().paths_summarized.str().c_str(),
                 go.stats().paths_original.str().c_str());
+    time_ratios.emplace_back(app.name, without_s / with_s);
+    smt_ratios.emplace_back(app.name, smt_ratio);
+    path_gaps.emplace_back(app.name, go.stats().paths_original.log10() -
+                                         gw.stats().paths_summarized.log10());
     bench::print_phase_json(app.name, "summary", threads, gw.stats());
     bench::print_phase_json(app.name, "no-summary", threads, go.stats());
   }
@@ -65,6 +72,7 @@ int main(int argc, char** argv) {
   // Ablation: intra-pipeline elimination only (pre-condition filtering off).
   std::printf("\n-- ablation: inter-pipeline pre-condition filtering --\n");
   std::printf("%-7s %16s %18s\n", "prog", "paths (full)", "paths (no filter)");
+  std::string filter_check;
   for (int level = 2; level <= 4; ++level) {
     ir::Context ctx;
     apps::GwConfig cfg;
@@ -83,9 +91,25 @@ int main(int argc, char** argv) {
     std::printf("%-7s %16s %18s\n", app.name.c_str(),
                 g1.stats().paths_summarized.str().c_str(),
                 g2.stats().paths_summarized.str().c_str());
+    filter_check += (filter_check.empty() ? " " : ", ") + app.name +
+                    (g2.stats().paths_summarized.log10() >
+                             g1.stats().paths_summarized.log10()
+                         ? " yes"
+                         : " no");
   }
-  std::printf("\nShape checks: time and SMT ratios > 1 and growing with the\n"
-              "pipe count; the path-count gap is astronomic for gw-3/gw-4;\n"
-              "filtering off leaves more summarized paths.\n");
+
+  std::printf("\nShape checks (from the rows above):\n");
+  bench::print_ratio_check("time ratio", time_ratios);
+  bench::print_ratio_check("SMT ratio", smt_ratios);
+  std::printf("  ratios grow with the pipe count: time %s, SMT %s\n",
+              bench::ratios_grow(time_ratios) ? "yes" : "no",
+              bench::ratios_grow(smt_ratios) ? "yes" : "no");
+  std::printf("  path-count gap (w/o over w/):");
+  for (size_t i = 0; i < path_gaps.size(); ++i) {
+    std::printf("%s %s 10^%.0f", i == 0 ? "" : ",", path_gaps[i].first.c_str(),
+                path_gaps[i].second);
+  }
+  std::printf("\n  filtering off leaves more summarized paths:%s\n",
+              filter_check.c_str());
   return 0;
 }

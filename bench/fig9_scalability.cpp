@@ -16,7 +16,7 @@ constexpr double kBudget = 60;  // seconds; the paper used one hour
 }
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   const int threads = bench::parse_threads(argc, argv);
   std::printf(

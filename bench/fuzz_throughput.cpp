@@ -491,7 +491,7 @@ Row measure(const char* variant, double min_seconds, Pass&& pass) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ObsSession obs(argc, argv);
+  auto obs = bench::observe(argc, argv);
   const size_t n_inputs =
       bench::parse_numeric_arg<size_t>(argc, argv, "--inputs", 512);
   const double min_seconds =

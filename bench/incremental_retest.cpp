@@ -11,17 +11,6 @@
 namespace meissa::bench {
 namespace {
 
-// Removes the target table's last remaining entry; false when none left.
-bool remove_last_entry(p4::RuleSet& rules, const std::string& table) {
-  for (auto it = rules.entries.rbegin(); it != rules.entries.rend(); ++it) {
-    if (it->table == table) {
-      rules.entries.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
-}
-
 void incremental_retest(int threads) {
   std::printf("== Incremental re-testing: single-table update vs full "
               "regeneration (threads=%d) ==\n", threads);
@@ -40,7 +29,7 @@ void incremental_retest(int threads) {
     // The last installed rule sits in a late-pipeline table — the churn
     // shape the paper motivates with (rule updates, not program edits).
     const std::string table = rules.entries.back().table;
-    remove_last_entry(rules, table);
+    rules.remove_last_entry(table);
     Timer inc_timer;
     driver::UpdateReport up = session.run(rules);
     const double inc_seconds = inc_timer.elapsed();
@@ -49,7 +38,7 @@ void incremental_retest(int threads) {
     ir::Context ctx2;
     apps::AppBundle app2 = make_program(ctx2, name);
     p4::RuleSet rules2 = app2.rules;
-    remove_last_entry(rules2, table);
+    rules2.remove_last_entry(table);
     driver::GenOptions gopts;
     gopts.threads = threads;
     Timer full_timer;
@@ -87,7 +76,7 @@ void incremental_retest(int threads) {
 }  // namespace meissa::bench
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   int threads = meissa::bench::parse_threads(argc, argv, 4);
   meissa::bench::incremental_retest(threads);
   return 0;

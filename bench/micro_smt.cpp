@@ -140,7 +140,7 @@ BENCHMARK(BM_RouterNegations<true>)->Name("BM_Router/elided-negations");
 // and --trace work here like on every other bench (the benchmark library
 // ignores flags it does not own, so no pre-stripping is needed).
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();

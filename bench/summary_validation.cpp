@@ -14,7 +14,7 @@
 #include "summary/summary.hpp"
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   std::printf("== Summary translation validation cost (8 programs) ==\n\n");
   std::printf("%-9s | %9s %9s | %6s %6s %6s %6s | %9s %9s\n", "prog",

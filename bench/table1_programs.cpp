@@ -4,7 +4,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   std::printf("== Table 1: data plane programs used in evaluation ==\n\n");
   std::printf("%-10s %9s %10s %6s %9s   %s\n", "name", "LOC", "rules(LOC)",

@@ -4,7 +4,7 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  meissa::bench::ObsSession obs_session(argc, argv);
+  auto obs_session = meissa::bench::observe(argc, argv);
   using namespace meissa;
   std::printf("== Table 2: bug-finding capability (this repro vs paper) ==\n\n");
   std::printf("%-3s %-46s | %-7s %-9s %-4s %-9s %-7s | %s\n", "#", "bug",

@@ -4,6 +4,9 @@
 // set-1..4 scaling family) and the 16-bug corpus of Table 2.
 #pragma once
 
+#include <array>
+#include <string_view>
+
 #include "driver/tester.hpp"
 #include "p4/rules.hpp"
 #include "sim/fault.hpp"
@@ -63,6 +66,18 @@ AppBundle make_gateway(ir::Context& ctx, const GwConfig& cfg);
 
 // Rule-set scaling family for Figures 10/12: set-1..set-4.
 int elastic_ips_for_set(int set_index, int base = 8);  // set_index 1..4
+
+// ------------------------------------------------------------- demo apps
+
+// The demo apps at the small, deterministic sizes the m4* tools and the
+// tests run: router 6 routes, mtag 4 hosts, acl 4 routes / 4 ACLs, a
+// reduced switch.p4, and gw-1..gw-4 with 4 elastic IPs.
+inline constexpr std::array<std::string_view, 8> kDemoApps = {
+    "router", "mtag", "acl", "switchp4", "gw-1", "gw-2", "gw-3", "gw-4"};
+
+// Builds demo app `name` (one of kDemoApps). Throws util::ValidationError
+// "unknown app '<name>'" for any other name.
+AppBundle demo_app(ir::Context& ctx, std::string_view name);
 
 // ------------------------------------------------------------ bug corpus
 

@@ -1,9 +1,12 @@
 // Demonstration data planes used by examples, micro benches, and tests:
 // the paper's Fig. 7 workload (chained tables) and Fig. 8 shape (two
-// pipelines with a public pre-condition between them).
+// pipelines with a public pre-condition between them), and the demo-app
+// table of the command-line tools.
 #include "apps/demos.hpp"
 
+#include "apps/apps.hpp"
 #include "apps/protocols.hpp"
+#include "util/error.hpp"
 
 namespace meissa::apps::demos {
 
@@ -259,3 +262,22 @@ p4::RuleSet fig8_rules() {
 
 
 }  // namespace meissa::apps::demos
+
+namespace meissa::apps {
+
+AppBundle demo_app(ir::Context& ctx, std::string_view name) {
+  if (name == "router") return make_router(ctx, 6);
+  if (name == "mtag") return make_mtag(ctx, 4);
+  if (name == "acl") return make_acl(ctx, 4, 4);
+  if (name == "switchp4") {
+    return make_switchp4(ctx, {.l2_hosts = 4, .routes = 4, .ecmp_ways = 2,
+                               .acls = 4, .mpls_labels = 4});
+  }
+  if (name.size() == 4 && name.substr(0, 3) == "gw-" && name[3] >= '1' &&
+      name[3] <= '4') {
+    return make_gateway(ctx, {.level = name[3] - '0', .elastic_ips = 4});
+  }
+  throw util::ValidationError("unknown app '" + std::string(name) + "'");
+}
+
+}  // namespace meissa::apps

@@ -50,13 +50,15 @@ struct GenOptions {
   // do not fail. Off by default: validation adds solver work and the
   // emitted templates are identical either way.
   bool validate_summary = false;
-  // Solver-throughput layer for the final DFS (ROADMAP "solver
-  // throughput"), both output-transparent — templates are byte-identical
-  // on or off: the canonicalized path-condition verdict cache (auto-
-  // disabled under a limited smt_budget; see EngineOptions::pc_cache) and
-  // the adaptive fast-path-vs-bit-blasting portfolio keyed by CFG region.
-  // On by default; off in the summary pass and baselines so ablations
-  // measure raw solving.
+  // Solver-throughput layer for the final DFS, both output-transparent —
+  // templates are byte-identical on or off: the canonicalized
+  // path-condition verdict cache (auto-disabled under a limited
+  // smt_budget; see EngineOptions::pc_cache) and the adaptive
+  // fast-path-vs-bit-blasting portfolio keyed by CFG region. On by
+  // default. Both reach only the final DFS: the summary engines never run
+  // the portfolio and use the cache exactly when `shared_pc_cache` is set.
+  // The Gauntlet and p4pktgen models (run_gauntlet, run_p4pktgen) keep
+  // both at their default, on.
   bool pc_cache = true;
   bool solver_portfolio = true;
   // Externally-owned verdict cache shared across Generator runs (the

@@ -63,6 +63,16 @@ int entry_rank(const std::vector<MatchKind>& key_kinds, const TableEntry& a,
   return 0;
 }
 
+bool RuleSet::remove_last_entry(std::string_view table) {
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (it->table == table) {
+      entries.erase(std::next(it).base());
+      return true;
+    }
+  }
+  return false;
+}
+
 std::vector<const TableEntry*> RuleSet::ordered_entries(
     const TableDef& table) const {
   std::vector<const TableEntry*> out;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +51,9 @@ struct RuleSet {
   std::unordered_map<std::string, DefaultAction> default_overrides;
 
   void add(TableEntry e) { entries.push_back(std::move(e)); }
+  // Removes `table`'s last installed entry (one rule-churn update); false
+  // when the table has none left.
+  bool remove_last_entry(std::string_view table);
 
   // Entries of one table in match order (see entry_rank below): longest
   // prefix first, then ascending priority number, then install order.

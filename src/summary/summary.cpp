@@ -570,7 +570,8 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
   const std::vector<std::vector<size_t>> deps = instance_deps(g);
   std::vector<InstanceWork> work(n);
   std::vector<bool> done(n, false);
-  util::ThreadPool pool(util::resolve_threads(opts.threads));
+  // A wave holds at most n pipelines, so no more workers than that.
+  util::ThreadPool pool(util::resolve_threads(opts.threads, n));
   size_t completed = 0;
   auto cancelled = [&] {
     return opts.cancel != nullptr && opts.cancel->cancelled();

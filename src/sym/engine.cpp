@@ -532,7 +532,6 @@ void Engine::run_parallel(const Sink& sink, int threads) {
 
 void Engine::run_parallel(const Sink& sink, int threads,
                           const ParallelHooks& hooks) {
-  threads = util::resolve_threads(threads);
   // Precondition precheck, as in run(). kUnknown (budget exhausted) simply
   // proceeds: only a proven-unsat precondition prunes the exploration.
   if (!preconds_.empty() && opts_.incremental) {
@@ -570,7 +569,7 @@ void Engine::run_parallel(const Sink& sink, int threads,
 
   const std::string ns_base =
       opts_.fresh_ns.empty() ? std::string() : opts_.fresh_ns + ".";
-  util::ThreadPool pool(threads);
+  util::ThreadPool pool(util::resolve_threads(threads, shards.size()));
   pool.run(shards.size(), [&](size_t i) {
     obs::Span span("shard " + std::to_string(i), "dfs");
     const ShardProgress* prior = resume != nullptr ? &(*resume)[i] : nullptr;

@@ -28,10 +28,8 @@
 
 #include "apps/apps.hpp"
 #include "driver/incremental.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 
 namespace {
 
@@ -44,41 +42,6 @@ int usage() {
                "  options: --updates N --table NAME --json --threads N\n"
                "           --no-verify --metrics FILE --trace FILE\n");
   return 2;
-}
-
-// Same demo configurations as m4test/m4lint (small, deterministic).
-apps::AppBundle load_app(ir::Context& ctx, const std::string& name) {
-  if (name == "router") return apps::make_router(ctx, 6);
-  if (name == "mtag") return apps::make_mtag(ctx, 4);
-  if (name == "acl") return apps::make_acl(ctx, 4, 4);
-  if (name == "switchp4") {
-    apps::SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    return apps::make_switchp4(ctx, cfg);
-  }
-  if (name.rfind("gw-", 0) == 0 && name.size() == 4 && name[3] >= '1' &&
-      name[3] <= '4') {
-    apps::GwConfig cfg;
-    cfg.level = name[3] - '0';
-    cfg.elastic_ips = 4;
-    return apps::make_gateway(ctx, cfg);
-  }
-  throw util::ValidationError("unknown app '" + name + "'");
-}
-
-// Removes the target table's last remaining entry. False when none left.
-bool remove_last_entry(p4::RuleSet& rules, const std::string& table) {
-  for (auto it = rules.entries.rbegin(); it != rules.entries.rend(); ++it) {
-    if (it->table == table) {
-      rules.entries.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string join(const std::vector<std::string>& v) {
@@ -142,13 +105,11 @@ int main(int argc, char** argv) {
   }
   if (app.empty() || updates < 1) return usage();
 
-  if (!metrics_file.empty()) obs::MetricsRegistry::set_enabled(true);
-  if (!trace_file.empty()) obs::trace_start();
-
+  obs::Session obs_session("m4delta", metrics_file, trace_file);
   int status = 0;
   try {
     ir::Context ctx;
-    apps::AppBundle b = load_app(ctx, app);
+    apps::AppBundle b = apps::demo_app(ctx, app);
     if (table.empty()) {
       if (b.rules.entries.empty()) {
         std::fprintf(stderr, "m4delta: app '%s' installs no rules\n",
@@ -167,7 +128,7 @@ int main(int argc, char** argv) {
     rows.push_back({session.run(rules), false, false, 0, 0});
     int applied = 0;
     for (int u = 1; u <= updates; ++u) {
-      if (!remove_last_entry(rules, table)) {
+      if (!rules.remove_last_entry(table)) {
         std::fprintf(stderr,
                      "m4delta: table '%s' out of entries after %d update(s)\n",
                      table.c_str(), applied);
@@ -182,9 +143,9 @@ int main(int argc, char** argv) {
         // compares the strict signatures (path condition, final values,
         // exact node path).
         ir::Context ctx2;
-        apps::AppBundle b2 = load_app(ctx2, app);
+        apps::AppBundle b2 = apps::demo_app(ctx2, app);
         p4::RuleSet rules2 = b2.rules;
-        for (int k = 0; k < applied; ++k) remove_last_entry(rules2, table);
+        for (int k = 0; k < applied; ++k) rules2.remove_last_entry(table);
         driver::GenOptions gopts;
         gopts.threads = threads;
         driver::Generator gen(ctx2, b2.dp, rules2, gopts);
@@ -273,18 +234,6 @@ int main(int argc, char** argv) {
     status = 2;
   }
 
-  if (!trace_file.empty()) {
-    obs::trace_stop();
-    if (!obs::write_trace_file(trace_file)) {
-      std::fprintf(stderr, "m4delta: cannot write trace to '%s'\n",
-                   trace_file.c_str());
-      if (status == 0) status = 2;
-    }
-  }
-  if (!metrics_file.empty() && !obs::write_metrics_file(metrics_file)) {
-    std::fprintf(stderr, "m4delta: cannot write metrics to '%s'\n",
-                 metrics_file.c_str());
-    if (status == 0) status = 2;
-  }
+  if (!obs_session.finish() && status == 0) status = 2;
   return status;
 }

@@ -23,15 +23,13 @@
 #include <cstdio>
 #include <string>
 
-#include "apps/apps.hpp"
 #include "driver/sender.hpp"
 #include "driver/tester.hpp"
 #include "fuzz/fuzz.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "sim/toolchain.hpp"
+#include "tools/frontend.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 
 namespace {
 
@@ -49,30 +47,6 @@ int usage() {
                "           --metrics FILE --trace FILE\n",
                apps::kNumBugs);
   return 2;
-}
-
-// Same demo configurations as m4test (small, deterministic).
-apps::AppBundle load_app(ir::Context& ctx, const std::string& name) {
-  if (name == "router") return apps::make_router(ctx, 6);
-  if (name == "mtag") return apps::make_mtag(ctx, 4);
-  if (name == "acl") return apps::make_acl(ctx, 4, 4);
-  if (name == "switchp4") {
-    apps::SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    return apps::make_switchp4(ctx, cfg);
-  }
-  if (name.rfind("gw-", 0) == 0 && name.size() == 4 && name[3] >= '1' &&
-      name[3] <= '4') {
-    apps::GwConfig cfg;
-    cfg.level = name[3] - '0';
-    cfg.elastic_ips = 4;
-    return apps::make_gateway(ctx, cfg);
-  }
-  throw util::ValidationError("unknown app '" + name + "'");
 }
 
 // Seeds the corpus from Meissa's own path templates (the two lanes
@@ -106,8 +80,7 @@ int main(int argc, char** argv) {
   fuzz::FuzzOptions fopts;
   std::string metrics_file;
   std::string trace_file;
-  std::string app;
-  int bug = 0;
+  tools::InputArgs input;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
@@ -126,46 +99,27 @@ int main(int argc, char** argv) {
       metrics_file = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_file = argv[++i];
-    } else if (arg == "--app" && i + 1 < argc) {
-      app = argv[++i];
-    } else if (arg == "--bug" && i + 1 < argc) {
-      if (!util::parse_flag(argv, i, bug)) return usage();
-      if (bug < 1 || bug > apps::kNumBugs) return usage();
-    } else {
+    } else if (!input.take(argc, argv, i, /*files=*/false)) {
       return usage();
     }
   }
-  if ((app.empty() ? 0 : 1) + (bug != 0 ? 1 : 0) != 1) return usage();
+  if (!input.complete()) return usage();
 
-  if (!metrics_file.empty()) obs::MetricsRegistry::set_enabled(true);
-  if (!trace_file.empty()) obs::trace_start();
-
+  obs::Session obs_session("m4fuzz", metrics_file, trace_file);
   int status = 0;
   try {
     ir::Context ctx;
-    p4::DataPlane dp;
-    p4::RuleSet rules;
-    sim::FaultSpec fault;
-    p4::DataPlane ref_dp;
-    p4::RuleSet ref_rules;
-    if (!app.empty()) {
-      apps::AppBundle b = load_app(ctx, app);
-      dp = std::move(b.dp);
-      rules = std::move(b.rules);
-      ref_dp = dp;
-      ref_rules = rules;
-    } else {
-      apps::BugScenario s = apps::make_bug(ctx, bug);
-      dp = std::move(s.bundle.dp);
-      rules = std::move(s.bundle.rules);
-      fault = s.fault;
-      apps::AppBundle intended = apps::make_bug_intended(ctx, bug);
-      ref_dp = std::move(intended.dp);
-      ref_rules = std::move(intended.rules);
-    }
+    const tools::Input in = tools::load_input(ctx, input);
+    const p4::DataPlane& dp = in.bundle.dp;
+    const p4::RuleSet& rules = in.bundle.rules;
+    // The reference: the app itself, or the bug scenario's intended
+    // program compiled without its fault.
+    const apps::AppBundle ref = input.bug != 0
+                                    ? apps::make_bug_intended(ctx, input.bug)
+                                    : in.bundle;
 
-    sim::Device target(sim::compile(dp, rules, ctx, fault), ctx);
-    sim::Device reference(sim::compile(ref_dp, ref_rules, ctx), ctx);
+    sim::Device target(sim::compile(dp, rules, ctx, in.fault), ctx);
+    sim::Device reference(sim::compile(ref.dp, ref.rules, ctx), ctx);
     fuzz::Fuzzer fuzzer(target, reference, dp, rules, fopts);
     if (template_seeds) {
       seed_from_templates(fuzzer, ctx, dp, rules, fopts.seed);
@@ -194,18 +148,6 @@ int main(int argc, char** argv) {
     status = 2;
   }
 
-  if (!trace_file.empty()) {
-    obs::trace_stop();
-    if (!obs::write_trace_file(trace_file)) {
-      std::fprintf(stderr, "m4fuzz: cannot write trace to '%s'\n",
-                   trace_file.c_str());
-      if (status == 0) status = 2;
-    }
-  }
-  if (!metrics_file.empty() && !obs::write_metrics_file(metrics_file)) {
-    std::fprintf(stderr, "m4fuzz: cannot write metrics to '%s'\n",
-                 metrics_file.c_str());
-    if (status == 0) status = 2;
-  }
+  if (!obs_session.finish() && status == 0) status = 2;
   return status;
 }

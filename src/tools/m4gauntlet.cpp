@@ -38,12 +38,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/apps.hpp"
 #include "apps/corpus.hpp"
 #include "apps/survival.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/session.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 
 namespace {
 
@@ -62,31 +61,6 @@ int usage() {
       "           --min-triggerable F --min-detection F\n"
       "           --metrics FILE --trace FILE\n");
   return 2;
-}
-
-// The demo configurations the rest of the tool family uses (m4lint,
-// m4fuzz): small and deterministic.
-apps::AppBundle load_app(ir::Context& ctx, const std::string& name) {
-  if (name == "router") return apps::make_router(ctx, 6);
-  if (name == "mtag") return apps::make_mtag(ctx, 4);
-  if (name == "acl") return apps::make_acl(ctx, 4, 4);
-  if (name == "switchp4") {
-    apps::SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    return apps::make_switchp4(ctx, cfg);
-  }
-  if (name.rfind("gw-", 0) == 0 && name.size() == 4 && name[3] >= '1' &&
-      name[3] <= '4') {
-    apps::GwConfig cfg;
-    cfg.level = name[3] - '0';
-    cfg.elastic_ips = 4;
-    return apps::make_gateway(ctx, cfg);
-  }
-  throw util::ValidationError("unknown app '" + name + "'");
 }
 
 // "out.json" + "router" -> "out.router.json" (multi-target runs).
@@ -188,13 +162,12 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  if (!metrics_file.empty()) obs::MetricsRegistry::set_enabled(true);
-  if (!trace_file.empty()) obs::trace_start();
+  obs::Session obs_session("m4gauntlet", metrics_file, trace_file);
 
   std::vector<std::string> targets;
   if (all) {
-    targets = {"router", "mtag",  "acl",  "switchp4", "gw-1",
-               "gw-2",   "gw-3",  "gw-4", "legacy"};
+    targets.assign(apps::kDemoApps.begin(), apps::kDemoApps.end());
+    targets.emplace_back("legacy");
   } else if (legacy) {
     targets = {"legacy"};
   } else {
@@ -216,7 +189,7 @@ int main(int argc, char** argv) {
       if (target == "legacy") {
         corpus = apps::corpus::build_legacy_corpus(copts);
       } else {
-        bundle = load_app(ctx, target);
+        bundle = apps::demo_app(ctx, target);
         corpus = apps::corpus::build_corpus(ctx, bundle, copts);
         ref = &bundle;
       }
@@ -296,18 +269,6 @@ int main(int argc, char** argv) {
     status = 2;
   }
 
-  if (!trace_file.empty()) {
-    obs::trace_stop();
-    if (!obs::write_trace_file(trace_file)) {
-      std::fprintf(stderr, "m4gauntlet: cannot write trace to '%s'\n",
-                   trace_file.c_str());
-      if (status == 0) status = 2;
-    }
-  }
-  if (!metrics_file.empty() && !obs::write_metrics_file(metrics_file)) {
-    std::fprintf(stderr, "m4gauntlet: cannot write metrics to '%s'\n",
-                 metrics_file.c_str());
-    if (status == 0) status = 2;
-  }
+  if (!obs_session.finish() && status == 0) status = 2;
   return status;
 }

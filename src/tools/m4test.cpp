@@ -41,19 +41,14 @@
 //
 // Exit status: 0 all cases passed, 1 failures/quarantines, 2 usage or error.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/apps.hpp"
 #include "driver/tester.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "p4/dsl.hpp"
+#include "obs/session.hpp"
 #include "sim/toolchain.hpp"
+#include "tools/frontend.hpp"
 #include "util/cli.hpp"
-#include "util/error.hpp"
 #include "util/faultinject.hpp"
 
 namespace {
@@ -74,30 +69,6 @@ int usage() {
   return 2;
 }
 
-// Same demo configurations as m4lint (small, deterministic).
-apps::AppBundle load_app(ir::Context& ctx, const std::string& name) {
-  if (name == "router") return apps::make_router(ctx, 6);
-  if (name == "mtag") return apps::make_mtag(ctx, 4);
-  if (name == "acl") return apps::make_acl(ctx, 4, 4);
-  if (name == "switchp4") {
-    apps::SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    return apps::make_switchp4(ctx, cfg);
-  }
-  if (name.rfind("gw-", 0) == 0 && name.size() == 4 && name[3] >= '1' &&
-      name[3] <= '4') {
-    apps::GwConfig cfg;
-    cfg.level = name[3] - '0';
-    cfg.elastic_ips = 4;
-    return apps::make_gateway(ctx, cfg);
-  }
-  throw util::ValidationError("unknown app '" + name + "'");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,9 +79,7 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   std::string metrics_file;
   std::string trace_file;
-  std::string app;
-  int bug = 0;
-  std::string file;
+  tools::InputArgs input;
   std::string checkpoint_dir;
   bool resume = false;
   uint64_t checkpoint_every = 8;
@@ -145,59 +114,23 @@ int main(int argc, char** argv) {
       if (!util::parse_flag(argv, i, shard_deadline_ms)) return usage();
     } else if (arg == "--inject" && i + 1 < argc) {
       inject_specs.emplace_back(argv[++i]);
-    } else if (arg == "--app" && i + 1 < argc) {
-      app = argv[++i];
-    } else if (arg == "--bug" && i + 1 < argc) {
-      if (!util::parse_flag(argv, i, bug)) return usage();
-      if (bug < 1 || bug > apps::kNumBugs) return usage();
-    } else if (!arg.empty() && arg[0] != '-' && file.empty()) {
-      file = arg;
-    } else {
+    } else if (!input.take(argc, argv, i)) {
       return usage();
     }
   }
-  if ((app.empty() ? 0 : 1) + (bug != 0 ? 1 : 0) + (file.empty() ? 0 : 1) !=
-      1) {
-    return usage();
-  }
+  if (!input.complete()) return usage();
   if (resume && checkpoint_dir.empty()) {
     std::fprintf(stderr, "m4test: --resume requires --checkpoint DIR\n");
     return 2;
   }
 
-  if (!metrics_file.empty()) obs::MetricsRegistry::set_enabled(true);
-  if (!trace_file.empty()) obs::trace_start();
-
+  obs::Session obs_session("m4test", metrics_file, trace_file);
   int status = 0;
   try {
     ir::Context ctx;
-    p4::DataPlane dp;
-    p4::RuleSet rules;
-    std::vector<spec::Intent> intents;
-    sim::FaultSpec fault;
-    if (!file.empty()) {
-      std::ifstream in(file);
-      if (!in) {
-        std::fprintf(stderr, "m4test: cannot open '%s'\n", file.c_str());
-        return 2;
-      }
-      std::ostringstream src;
-      src << in.rdbuf();
-      p4::ParsedUnit unit = p4::parse_m4(src.str(), ctx);
-      dp = std::move(unit.dp);
-      rules = std::move(unit.rules);
-    } else if (!app.empty()) {
-      apps::AppBundle b = load_app(ctx, app);
-      dp = std::move(b.dp);
-      rules = std::move(b.rules);
-      intents = std::move(b.intents);
-    } else {
-      apps::BugScenario s = apps::make_bug(ctx, bug);
-      dp = std::move(s.bundle.dp);
-      rules = std::move(s.bundle.rules);
-      intents = std::move(s.bundle.intents);
-      fault = s.fault;
-    }
+    const tools::Input in = tools::load_input(ctx, input);
+    const p4::DataPlane& dp = in.bundle.dp;
+    const p4::RuleSet& rules = in.bundle.rules;
 
     driver::TestRunOptions opts;
     opts.gen.threads = threads;
@@ -222,10 +155,10 @@ int main(int argc, char** argv) {
         std::fputs(sym::describe(t, ctx, meissa.graph()).c_str(), stdout);
       }
     } else {
-      sim::DeviceProgram compiled = sim::compile(dp, rules, ctx, fault);
+      sim::DeviceProgram compiled = sim::compile(dp, rules, ctx, in.fault);
       sim::Device device(compiled, ctx);
       driver::Meissa meissa(ctx, dp, rules, opts);
-      driver::TestReport r = meissa.test(device, intents);
+      driver::TestReport r = meissa.test(device, in.bundle.intents);
       if (json) {
         std::printf("%s\n", r.to_json().c_str());
       } else {
@@ -237,19 +170,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "m4test: %s\n", e.what());
     status = 2;
   }
-
-  if (!trace_file.empty()) {
-    obs::trace_stop();
-    if (!obs::write_trace_file(trace_file)) {
-      std::fprintf(stderr, "m4test: cannot write trace to '%s'\n",
-                   trace_file.c_str());
-      if (status == 0) status = 2;
-    }
-  }
-  if (!metrics_file.empty() && !obs::write_metrics_file(metrics_file)) {
-    std::fprintf(stderr, "m4test: cannot write metrics to '%s'\n",
-                 metrics_file.c_str());
-    if (status == 0) status = 2;
-  }
+  if (!obs_session.finish() && status == 0) status = 2;
   return status;
 }

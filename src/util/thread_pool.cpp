@@ -1,11 +1,19 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 namespace meissa::util {
 
 int resolve_threads(int requested) {
   if (requested > 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+int resolve_threads(int requested, size_t max_tasks) {
+  const size_t cap = std::max<size_t>(max_tasks, 1);
+  return static_cast<int>(
+      std::min(static_cast<size_t>(resolve_threads(requested)), cap));
 }
 
 ThreadPool::ThreadPool(int threads) {

@@ -23,6 +23,9 @@ namespace meissa::util {
 // Resolves a thread-count option: n > 0 is taken literally; 0 means
 // std::thread::hardware_concurrency() (at least 1).
 int resolve_threads(int requested);
+// The same, capped at `max_tasks` (at least 1): the size of a pool whose
+// run() never has more than `max_tasks` tasks at once, so no thread idles.
+int resolve_threads(int requested, size_t max_tasks);
 
 class ThreadPool {
  public:

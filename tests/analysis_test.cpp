@@ -514,9 +514,7 @@ TEST(Facts, StreamingMatchesFixpointOracle) {
   };
   for (int level = 1; level <= 4; ++level) {
     ir::Context ctx;
-    apps::GwConfig cfg;
-    cfg.level = level;
-    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    apps::AppBundle app = apps::make_gateway(ctx, {.level = level});
     original_and_summarized(ctx, cfg::build_cfg(app.dp, app.rules, ctx),
                             "gw-" + std::to_string(level));
   }
@@ -526,9 +524,6 @@ TEST(Facts, StreamingMatchesFixpointOracle) {
                             "bug " + std::to_string(index));
   }
 }
-
-const char* const kDemoApps[] = {"router", "mtag", "acl",  "switchp4",
-                                 "gw-1",   "gw-2", "gw-3", "gw-4"};
 
 // The facts from `g`'s entry against an engine run from there with no
 // static pruning and no summary, which decides every branch with the
@@ -554,11 +549,11 @@ uint64_t expect_facts_sound(ir::Context& ctx, const cfg::Cfg& g,
 
 TEST(Facts, SoundAgainstTheUnprunedEngine) {
   uint64_t ruled_out = 0;
-  for (const char* name : kDemoApps) {
+  for (std::string_view name : apps::kDemoApps) {
     ir::Context ctx;
-    apps::AppBundle app = testlib::demo_app(ctx, name);
+    apps::AppBundle app = apps::demo_app(ctx, name);
     ruled_out += expect_facts_sound(
-        ctx, cfg::build_cfg(app.dp, app.rules, ctx), name);
+        ctx, cfg::build_cfg(app.dp, app.rules, ctx), std::string(name));
   }
   for (int index = 1; index <= apps::kNumBugs; ++index) {
     ir::Context ctx;
@@ -660,10 +655,7 @@ TEST(Lint, CleanOnRouterAndGatewayDemos) {
   }
   for (int level = 1; level <= 4; ++level) {
     ir::Context ctx;
-    apps::GwConfig cfg;
-    cfg.level = level;
-    cfg.elastic_ips = 4;
-    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    apps::AppBundle app = apps::demo_app(ctx, "gw-" + std::to_string(level));
     cfg::Cfg g = cfg::build_cfg(app.dp, app.rules, ctx);
     LintResult r = lint_cfg(ctx, g);
     EXPECT_TRUE(r.clean()) << "gw-" << level << "\n" << render_text(r);
@@ -811,10 +803,7 @@ TEST(Lint, SyntheticSkipArmsAreNotReported) {
   // gw-4's exhaustive topology guards make every skip-chain fall-through
   // statically dead; those are builder artifacts, not findings.
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 4;
-  cfg.elastic_ips = 4;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::demo_app(ctx, "gw-4");
   cfg::Cfg g = cfg::build_cfg(app.dp, app.rules, ctx);
   bool has_synthetic = false;
   for (cfg::NodeId id = 0; id < g.size(); ++id) {
@@ -874,10 +863,11 @@ TEST(Lint, CorpusOutputsArePinned) {
     ASSERT_EQ(pin.program, program);
     EXPECT_EQ(digest(lint_cfg(ctx, g)), pin.digest) << program;
   };
-  for (const char* name : kDemoApps) {
+  for (std::string_view name : apps::kDemoApps) {
     ir::Context ctx;
-    apps::AppBundle app = testlib::demo_app(ctx, name);
-    expect_pinned(ctx, cfg::build_cfg(app.dp, app.rules, ctx), name);
+    apps::AppBundle app = apps::demo_app(ctx, name);
+    expect_pinned(ctx, cfg::build_cfg(app.dp, app.rules, ctx),
+                  std::string(name));
   }
   for (int index = 1; index <= apps::kNumBugs; ++index) {
     ir::Context ctx;

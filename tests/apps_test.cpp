@@ -4,8 +4,11 @@
 // multi-pipe topologies.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/apps.hpp"
 #include "sim/toolchain.hpp"
+#include "util/error.hpp"
 
 namespace meissa::apps {
 namespace {
@@ -73,15 +76,13 @@ class GatewayLevels : public ::testing::TestWithParam<int> {};
 
 TEST_P(GatewayLevels, CleanRunPasses) {
   ir::Context ctx;
-  GwConfig cfg;
-  cfg.level = GetParam();
-  cfg.elastic_ips = 4;
-  AppBundle app = make_gateway(ctx, cfg);
+  const int level = GetParam();
+  AppBundle app = demo_app(ctx, "gw-" + std::to_string(level));
   EXPECT_EQ(app.dp.topology.instances.size(),
-            static_cast<size_t>(cfg.level == 1 ? 1
-                                : cfg.level == 2 ? 2
-                                : cfg.level == 3 ? 4
-                                                 : 8));
+            static_cast<size_t>(level == 1   ? 1
+                                : level == 2 ? 2
+                                : level == 3 ? 4
+                                             : 8));
   driver::TestReport r = clean_run(ctx, app);
   EXPECT_GT(r.cases, 4u);
   EXPECT_TRUE(r.all_passed()) << r.str();
@@ -91,10 +92,7 @@ INSTANTIATE_TEST_SUITE_P(Levels, GatewayLevels, ::testing::Values(1, 2, 3, 4));
 
 TEST(Apps, Gw4CoversBothSwitches) {
   ir::Context ctx;
-  GwConfig cfg;
-  cfg.level = 4;
-  cfg.elastic_ips = 4;
-  AppBundle app = make_gateway(ctx, cfg);
+  AppBundle app = demo_app(ctx, "gw-4");
   driver::TestRunOptions opts;
   driver::Meissa meissa(ctx, app.dp, app.rules, opts);
   auto templates = meissa.generate();
@@ -131,16 +129,51 @@ TEST(Apps, ProgramLocGrowsWithLevel) {
   size_t prev_pipes = 0;
   for (int level = 1; level <= 4; ++level) {
     ir::Context c;
-    GwConfig cfg;
-    cfg.level = level;
-    cfg.elastic_ips = 4;
-    AppBundle app = make_gateway(c, cfg);
+    AppBundle app = demo_app(c, "gw-" + std::to_string(level));
     size_t loc = app.dp.program.loc();
     // gw-4 reuses gw-3's program over twice the pipes/switches.
     EXPECT_GE(loc, prev) << "level " << level;
     EXPECT_GT(app.dp.topology.instances.size(), prev_pipes);
     prev = loc;
     prev_pipes = app.dp.topology.instances.size();
+  }
+}
+
+// The demo-app table the m4* tools and the tests share: every name it
+// lists builds at its pinned size (rule lines and intents), so a size
+// change shows here before it moves a tool's output or a pin test.
+TEST(DemoApp, EveryListedNameBuildsAtItsPinnedSize) {
+  struct Pin {
+    std::string_view name;
+    size_t rule_loc;
+    size_t intents;
+  };
+  const Pin pins[] = {
+      {"router", 12, 2}, {"mtag", 8, 2},  {"acl", 12, 2},  {"switchp4", 29, 1},
+      {"gw-1", 19, 2},   {"gw-2", 20, 2}, {"gw-3", 32, 2}, {"gw-4", 32, 2},
+  };
+  ASSERT_EQ(std::size(pins), kDemoApps.size());
+  for (size_t i = 0; i < kDemoApps.size(); ++i) {
+    ir::Context ctx;
+    EXPECT_EQ(kDemoApps[i], pins[i].name);
+    AppBundle app = demo_app(ctx, kDemoApps[i]);
+    EXPECT_EQ(app.rules.loc(), pins[i].rule_loc) << kDemoApps[i];
+    EXPECT_EQ(app.intents.size(), pins[i].intents) << kDemoApps[i];
+  }
+}
+
+TEST(DemoApp, UnknownNameThrowsNamingIt) {
+  for (std::string_view name : {"gw-5", "legacy", "", "gw-0", "router "}) {
+    ir::Context ctx;
+    try {
+      demo_app(ctx, name);
+      ADD_FAILURE() << "'" << name << "' built";
+    } catch (const util::ValidationError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown app '" +
+                                           std::string(name) + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

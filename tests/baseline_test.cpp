@@ -18,20 +18,14 @@ TEST(Gates, P4pktgenRejectsMultiPipeAndProductionFeatures) {
   EXPECT_NE(r.unsupported_reason.find("multi-pipeline"), std::string::npos);
 
   ir::Context ctx2;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle gw = apps::make_gateway(ctx2, cfg);
+  apps::AppBundle gw = apps::make_gateway(ctx2, {.level = 1, .elastic_ips = 2});
   BaselineResult r2 = run_p4pktgen(ctx2, gw.dp, gw.rules, nullptr);
   EXPECT_FALSE(r2.supported);
 }
 
 TEST(Gates, GauntletRejectsProductionPrograms) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 2;
-  cfg.elastic_ips = 2;
-  apps::AppBundle gw = apps::make_gateway(ctx, cfg);
+  apps::AppBundle gw = apps::make_gateway(ctx, {.level = 2, .elastic_ips = 2});
   BaselineResult r = run_gauntlet(ctx, gw.dp, gw.rules, nullptr);
   EXPECT_FALSE(r.supported);
 }

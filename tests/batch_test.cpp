@@ -63,19 +63,18 @@ void check_app(ir::Context& ctx, const p4::DataPlane& dp,
   }
 }
 
-class BatchEquivalenceApp : public testing::TestWithParam<const char*> {};
+class BatchEquivalenceApp : public testing::TestWithParam<std::string_view> {};
 
 TEST_P(BatchEquivalenceApp, MatchesInject) {
   ir::Context ctx;
-  apps::AppBundle app = testlib::demo_app(ctx, GetParam());
+  apps::AppBundle app = apps::demo_app(ctx, GetParam());
   check_app(ctx, app.dp, app.rules);
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, BatchEquivalenceApp,
-                         testing::Values("router", "mtag", "acl", "switchp4",
-                                         "gw-1", "gw-2", "gw-3", "gw-4"),
+                         testing::ValuesIn(apps::kDemoApps),
                          [](const auto& info) {
-                           std::string n = info.param;
+                           std::string n(info.param);
                            for (char& c : n) {
                              if (c == '-') c = '_';
                            }
@@ -95,10 +94,7 @@ INSTANTIATE_TEST_SUITE_P(Bugs, BatchEquivalenceBug, testing::Range(1, 17));
 // ------------------------------------------------------ register semantics
 
 Device gw1_device(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   return Device(compile(app.dp, app.rules, ctx), ctx);
 }
 
@@ -135,10 +131,7 @@ TEST(Registers, SnapshotSemanticsAcrossBatch) {
   // of the same batch, so a batch of identical inputs yields identical
   // outputs and the installed value survives unchanged.
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   Device device(compile(app.dp, app.rules, ctx), ctx);
   device.set_register("gw_stats", 0, 41);
 

@@ -21,10 +21,8 @@ namespace meissa {
 namespace {
 
 apps::AppBundle gw4(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 4;  // 8 pipelines across 2 switches — several summary waves
-  cfg.elastic_ips = 2;
-  return apps::make_gateway(ctx, cfg);
+  // 8 pipelines across 2 switches — several summary waves
+  return apps::make_gateway(ctx, {.level = 4, .elastic_ips = 2});
 }
 
 TEST(Cancel, PreCancelledSummaryDoesNoWork) {
@@ -156,10 +154,7 @@ TEST(Cancel, TesterStopsBetweenTemplatesAndReportsIt) {
   // wire), but the injection loop stops before the first case and the
   // report says so instead of faking a clean zero-failure run.
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 2;
-  cfg.elastic_ips = 4;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::demo_app(ctx, "gw-2");
   sim::DeviceProgram compiled = sim::compile(app.dp, app.rules, ctx);
   sim::Device device(compiled, ctx);
   driver::TestRunOptions opts;

@@ -162,38 +162,10 @@ TEST(Corpus, WitnessReplayRetriggersEveryVariant) {
 TEST(Corpus, AtLeastTwoHundredVariantsAcrossDemoApps) {
   const corpus::CorpusOptions opts = fast_opts();
   size_t total = 0;
-  {
+  for (const char* name :
+       {"router", "mtag", "acl", "switchp4", "gw-3", "gw-4"}) {
     ir::Context ctx;
-    AppBundle app = make_router(ctx, 6);
-    total += corpus::build_corpus(ctx, app, opts).variants.size();
-  }
-  {
-    ir::Context ctx;
-    AppBundle app = make_mtag(ctx, 4);
-    total += corpus::build_corpus(ctx, app, opts).variants.size();
-  }
-  {
-    ir::Context ctx;
-    AppBundle app = make_acl(ctx, 4, 4);
-    total += corpus::build_corpus(ctx, app, opts).variants.size();
-  }
-  {
-    ir::Context ctx;
-    SwitchP4Config cfg;
-    cfg.l2_hosts = 4;
-    cfg.routes = 4;
-    cfg.ecmp_ways = 2;
-    cfg.acls = 4;
-    cfg.mpls_labels = 4;
-    AppBundle app = make_switchp4(ctx, cfg);
-    total += corpus::build_corpus(ctx, app, opts).variants.size();
-  }
-  for (int level : {3, 4}) {
-    ir::Context ctx;
-    GwConfig cfg;
-    cfg.level = level;
-    cfg.elastic_ips = 4;
-    AppBundle app = make_gateway(ctx, cfg);
+    AppBundle app = demo_app(ctx, name);
     total += corpus::build_corpus(ctx, app, opts).variants.size();
   }
   EXPECT_GE(total, 200u);

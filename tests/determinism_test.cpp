@@ -30,17 +30,12 @@ apps::AppBundle router_app(ir::Context& ctx) {
 }
 
 apps::AppBundle nat_gateway_app(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 2;  // ingress + egress NAT gateway (gw-2)
-  cfg.elastic_ips = 4;
-  return apps::make_gateway(ctx, cfg);
+  return apps::demo_app(ctx, "gw-2");  // ingress + egress NAT gateway
 }
 
 apps::AppBundle multi_switch_app(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 4;  // 8 pipelines across 2 switches (gw-4, Fig. 1)
-  cfg.elastic_ips = 2;
-  return apps::make_gateway(ctx, cfg);
+  // 8 pipelines across 2 switches (gw-4, Fig. 1)
+  return apps::make_gateway(ctx, {.level = 4, .elastic_ips = 2});
 }
 
 // The ACL app's final DFS still sends checks to the SAT core (its

@@ -122,10 +122,7 @@ TEST(Device, ChecksumUpdateAppliedOnDeparse) {
 
 TEST(Device, RegistersPersistAcrossPackets) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   Device device(compile(app.dp, app.rules, ctx), ctx);
   device.set_register("gw_stats", 0, 41);
   // One outbound packet increments gw_stats[0]... observable only through
@@ -218,10 +215,7 @@ TEST(Device, TernaryPriorityThenInstallOrderBreaksTies) {
 
 TEST(Fault, DropSetValidSuppressesVxlan) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   FaultSpec fault;
   fault.kind = FaultKind::kDropSetValid;
   fault.header = "vxlan";
@@ -251,10 +245,7 @@ TEST(Fault, DropSetValidSuppressesVxlan) {
 
 TEST(Fault, FieldOverlapClobbersVictim) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   FaultSpec fault;
   fault.kind = FaultKind::kFieldOverlap;
   fault.field_a = "hdr.inner_ipv4.src";

@@ -128,10 +128,7 @@ TEST(SenderDigest, GatewayCasesArePinned) {
   };
   for (int level = 1; level <= 4; ++level) {
     ir::Context ctx;
-    apps::GwConfig cfg;
-    cfg.level = level;
-    cfg.elastic_ips = 4;
-    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    apps::AppBundle app = apps::demo_app(ctx, "gw-" + std::to_string(level));
     expect_digest(concretize_digest(ctx, app, {}), want[level - 1],
                   "gw-" + std::to_string(level));
   }
@@ -144,10 +141,7 @@ TEST(SenderDigest, GatewayCasesMatchTheDevice) {
   for (int level = 1; level <= 4; ++level) {
     SCOPED_TRACE("gw-" + std::to_string(level));
     ir::Context ctx;
-    apps::GwConfig cfg;
-    cfg.level = level;
-    cfg.elastic_ips = 4;
-    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    apps::AppBundle app = apps::demo_app(ctx, "gw-" + std::to_string(level));
     Generator gen(ctx, app.dp, app.rules, {});
     std::vector<sym::TestCaseTemplate> templates = gen.generate();
     Sender sender(ctx, app.dp, gen.graph());

@@ -147,10 +147,7 @@ TEST(Fuzzer, IdenticalDevicesNeverDiverge) {
 
 TEST(Fuzzer, AddSeedInstallsRegistersOnBothDevices) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 1;
-  cfg.elastic_ips = 2;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::make_gateway(ctx, {.level = 1, .elastic_ips = 2});
   sim::Device target(sim::compile(app.dp, app.rules, ctx), ctx);
   sim::Device reference(sim::compile(app.dp, app.rules, ctx), ctx);
   Fuzzer fuzzer(target, reference, app.dp, app.rules, {});

@@ -18,10 +18,7 @@ namespace meissa::analysis {
 namespace {
 
 apps::AppBundle gateway(ir::Context& ctx, int level = 2) {
-  apps::GwConfig cfg;
-  cfg.level = level;
-  cfg.elastic_ips = 4;
-  return apps::make_gateway(ctx, cfg);
+  return apps::demo_app(ctx, "gw-" + std::to_string(level));
 }
 
 // Builds the gateway and fingerprints it, optionally pre-interning the

@@ -17,21 +17,7 @@ namespace meissa::driver {
 namespace {
 
 apps::AppBundle gateway(ir::Context& ctx, int level = 2) {
-  apps::GwConfig cfg;
-  cfg.level = level;
-  cfg.elastic_ips = 4;
-  return apps::make_gateway(ctx, cfg);
-}
-
-// Removes the target table's last remaining entry; false when none left.
-bool remove_last_entry(p4::RuleSet& rules, const std::string& table) {
-  for (auto it = rules.entries.rbegin(); it != rules.entries.rend(); ++it) {
-    if (it->table == table) {
-      rules.entries.erase(std::next(it).base());
-      return true;
-    }
-  }
-  return false;
+  return apps::demo_app(ctx, "gw-" + std::to_string(level));
 }
 
 // Sorted strict signatures of a from-scratch generation of `rules`.
@@ -60,7 +46,7 @@ TEST(Incremental, ReportedSignaturesEqualFullSignatures) {
   p4::RuleSet rules = app.rules;
   for (int update = 0; update < 3; ++update) {
     if (update > 0) {
-      ASSERT_TRUE(remove_last_entry(rules, rules.entries.back().table));
+      ASSERT_TRUE(rules.remove_last_entry(rules.entries.back().table));
     }
     UpdateReport rep = session.run(rules);
     ASSERT_FALSE(rep.templates.empty());
@@ -86,7 +72,7 @@ TEST(Incremental, GatewayUpdateIsByteIdenticalAndReusesCleanRegions) {
   EXPECT_FALSE(base.templates.empty());
 
   const std::string table = rules.entries.back().table;
-  ASSERT_TRUE(remove_last_entry(rules, table));
+  ASSERT_TRUE(rules.remove_last_entry(table));
   UpdateReport up = session.run(rules);
   EXPECT_EQ(up.run, 1);
   EXPECT_FALSE(up.impact.full);
@@ -100,7 +86,7 @@ TEST(Incremental, GatewayUpdateIsByteIdenticalAndReusesCleanRegions) {
   ir::Context ctx2;
   apps::AppBundle app2 = gateway(ctx2);
   p4::RuleSet rules2 = app2.rules;
-  ASSERT_TRUE(remove_last_entry(rules2, table));
+  ASSERT_TRUE(rules2.remove_last_entry(table));
   uint64_t full_checks = 0;
   std::vector<std::string> fresh =
       full_regen_sigs(app2.dp, rules2, ctx2, &full_checks);
@@ -130,13 +116,13 @@ TEST(Incremental, DependencyEdgesAreLoadBearing) {
     IncrementalSession session(ctx, app.dp, opts);
     p4::RuleSet rules = app.rules;
     session.run(rules);
-    if (!remove_last_entry(rules, table)) continue;
+    if (!rules.remove_last_entry(table)) continue;
     UpdateReport up = session.run(rules);
 
     ir::Context ctx2;
     apps::AppBundle app2 = gateway(ctx2, 3);
     p4::RuleSet rules2 = app2.rules;
-    ASSERT_TRUE(remove_last_entry(rules2, table));
+    ASSERT_TRUE(rules2.remove_last_entry(table));
     std::vector<std::string> fresh = full_regen_sigs(app2.dp, rules2, ctx2);
     if (up.full_sigs != fresh) {
       diverged = true;
@@ -157,7 +143,7 @@ TEST(Incremental, CacheHitsOfTheSummaryEnginesAreReported) {
   IncrementalSession session(ctx, app.dp);
   p4::RuleSet rules = app.rules;
   session.run(rules);
-  ASSERT_TRUE(remove_last_entry(rules, rules.entries.back().table));
+  ASSERT_TRUE(rules.remove_last_entry(rules.entries.back().table));
   UpdateReport up = session.run(rules);
   uint64_t summary_hits = 0;
   for (const summary::PipelineSummary& p : up.stats.pipelines) {

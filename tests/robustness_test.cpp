@@ -191,10 +191,8 @@ TEST(ScopeUnderflow, Z3PopWithoutPushThrowsInternalError) {
 // ------------------------------------------------- degraded generation
 
 apps::AppBundle multi_switch_app(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 4;  // 8 pipelines across 2 switches (gw-4, Fig. 1)
-  cfg.elastic_ips = 2;
-  return apps::make_gateway(ctx, cfg);
+  // 8 pipelines across 2 switches (gw-4, Fig. 1)
+  return apps::make_gateway(ctx, {.level = 4, .elastic_ips = 2});
 }
 
 TEST(DegradedGeneration, TinyBudgetCompletesWithHonestAccounting) {

@@ -440,10 +440,8 @@ TEST(SummaryPrecondition, ValueSetCapMatchesMapOracleAtItsBoundary) {
 }
 
 apps::AppBundle gw4(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 4;  // 8 pipelines across 2 switches (gw-4, Fig. 1)
-  cfg.elastic_ips = 2;
-  return apps::make_gateway(ctx, cfg);
+  // 8 pipelines across 2 switches (gw-4, Fig. 1)
+  return apps::make_gateway(ctx, {.level = 4, .elastic_ips = 2});
 }
 
 TEST(SummaryFrontier, ExtensionMatchesEntryEnumerationOnGw4) {

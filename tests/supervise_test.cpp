@@ -170,10 +170,7 @@ TEST(Supervisor, CleanCompletionTripsNothing) {
 driver::GenStats generate_with_faults(util::FaultInjector* inj,
                                       util::SuperviseOptions supervise = {}) {
   ir::Context ctx;
-  apps::GwConfig cfg;
-  cfg.level = 2;
-  cfg.elastic_ips = 4;
-  apps::AppBundle app = apps::make_gateway(ctx, cfg);
+  apps::AppBundle app = apps::demo_app(ctx, "gw-2");
   driver::GenOptions opts;
   opts.threads = 4;
   opts.fault = inj;

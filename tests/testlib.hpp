@@ -9,29 +9,20 @@
 #include <utility>
 #include <vector>
 
-#include "apps/apps.hpp"
+#include "apps/demos.hpp"
 #include "cfg/build.hpp"
 #include "p4/rules.hpp"
 #include "util/rng.hpp"
 
 namespace meissa::testlib {
 
-// The paper's Fig. 7 workload: table ipv4_host (dstIP -> egressPort)
-// followed by table mac_agent (egressPort -> dstMAC), with `n_hosts`
-// entries in each. Single pipeline, single switch.
-p4::DataPlane make_fig7_plane(ir::Context& ctx);
-p4::RuleSet fig7_rules(int n_hosts);
-
-// The paper's Fig. 8 shape: an ingress pipeline that routes TCP to the
-// egress pipeline (eg_spec == 1) and drops everything else, and an egress
-// pipeline that branches on TCP vs UDP — so "proto == TCP" is a public
-// pre-condition of the egress and its UDP branch is summarized away.
-p4::DataPlane make_fig8_plane(ir::Context& ctx);
-p4::RuleSet fig8_rules();
-
-// The eight demo apps (router, mtag, acl, switchp4, gw-1..gw-4) at the
-// small sizes the command-line tools use.
-apps::AppBundle demo_app(ir::Context& ctx, const std::string& name);
+// The paper's Fig. 7 workload (ipv4_host chained into mac_agent, single
+// pipeline) and Fig. 8 shape (an ingress that routes TCP to an egress
+// whose UDP branch the public pre-condition summarizes away).
+using apps::demos::fig7_rules;
+using apps::demos::fig8_rules;
+using apps::demos::make_fig7_plane;
+using apps::demos::make_fig8_plane;
 
 // Result of concretely interpreting a CFG: which terminal was reached and
 // the final state. Interpretation backtracks at forks (assume-guarded

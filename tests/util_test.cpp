@@ -138,6 +138,18 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_GE(resolve_threads(0), 1);  // hardware concurrency, at least 1
 }
 
+// A pool is never larger than its task count: pure arithmetic, so no
+// thread is started here at any requested count.
+TEST(ThreadPool, ResolveThreadsCapsAtTheTaskCount) {
+  EXPECT_EQ(resolve_threads(64, 32), 32);
+  EXPECT_EQ(resolve_threads(1000000, 8), 8);
+  EXPECT_EQ(resolve_threads(2, 32), 2);
+  EXPECT_EQ(resolve_threads(8, 1), 1);
+  EXPECT_EQ(resolve_threads(8, 0), 1);  // no tasks still means one thread
+  EXPECT_EQ(resolve_threads(0, 1), 1);
+  EXPECT_EQ(resolve_threads(0, 1u << 20), resolve_threads(0));
+}
+
 TEST(ThreadPool, RunCoversEveryIndexOnce) {
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);

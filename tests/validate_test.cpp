@@ -24,10 +24,7 @@ apps::AppBundle router_app(ir::Context& ctx) {
 }
 
 apps::AppBundle nat_gateway_app(ir::Context& ctx) {
-  apps::GwConfig cfg;
-  cfg.level = 2;  // ingress + egress NAT gateway (gw-2)
-  cfg.elastic_ips = 4;
-  return apps::make_gateway(ctx, cfg);
+  return apps::demo_app(ctx, "gw-2");  // ingress + egress NAT gateway
 }
 
 struct Validated {
@@ -168,10 +165,8 @@ TEST(Validate, ExhaustedBudgetReportsUnprovenNeverPassed) {
   ValidateOptions vopts;
   vopts.budget.max_conflicts = 1;
   vopts.budget.max_propagations = 1;
-  apps::GwConfig cfg;
-  cfg.level = 4;
-  cfg.elastic_ips = 2;
-  Validated v = summarize_and_validate(ctx, apps::make_gateway(ctx, cfg), vopts);
+  Validated v = summarize_and_validate(
+      ctx, apps::make_gateway(ctx, {.level = 4, .elastic_ips = 2}), vopts);
   const ValidationResult& r = v.result;
   EXPECT_GT(r.unproven, 0u);
   EXPECT_FALSE(r.proven());
